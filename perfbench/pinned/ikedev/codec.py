@@ -1,0 +1,459 @@
+"""Bit-exact ISAKMP phase-1 message codec.
+
+Big-endian throughout.  A message is a 28-byte fixed header, a chain of
+payloads (each a 4-byte generic header plus a typed body), and - when the
+header's encryption flag is set - an optional opaque encrypted blob after
+the chain.  The blob carries a whole payload chain sealed as one AEAD unit;
+payloads that must stay readable (the device payload, or payloads whose
+bodies are individually sealed) live in the clear chain before it.
+
+The parser is total: any byte string yields either a message or one of the
+named codec errors, never an uncontrolled exception.
+"""
+
+from __future__ import annotations
+
+import random
+import struct
+from dataclasses import dataclass, field
+from enum import IntEnum
+
+from . import crypto
+from .errors import (
+    BadLength,
+    BadVersion,
+    ChainMismatch,
+    NonzeroReserved,
+    Truncated,
+    UnknownPayloadType,
+)
+
+ISAKMP_VERSION = 0x10
+EXCHANGE_AGGRESSIVE = 4
+FLAG_ENCRYPTION = 0x01
+
+HEADER_LEN = 28
+GENERIC_HEADER_LEN = 4
+_HEADER = struct.Struct("!8s8sBBBBII")
+
+DEV_NONCE_LEN = 16
+DEV_FORMAT_VERSION = 1
+DEV_TAG_LEN = 16  # default AEAD suite tag width, fixed on the wire
+
+NONCE_MIN = 8
+NONCE_MAX = 256
+
+
+class PayloadType(IntEnum):
+    SA = 1
+    KE = 4
+    ID = 5
+    CERT = 6
+    SIG = 9
+    NONCE = 10
+    DEV = 55
+
+
+# ---------------------------------------------------------------------------
+# Payload bodies
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SaBody:
+    """Security-association proposal, treated as opaque transform bytes."""
+    proposal: bytes
+
+    def __post_init__(self):
+        if not self.proposal:
+            raise ValueError("SA proposal must be non-empty")
+
+
+@dataclass(frozen=True)
+class KeBody:
+    public_value: bytes
+
+    def __post_init__(self):
+        if not self.public_value:
+            raise ValueError("KE public value must be non-empty")
+
+
+@dataclass(frozen=True)
+class NonceBody:
+    nonce: bytes
+
+    def __post_init__(self):
+        if not NONCE_MIN <= len(self.nonce) <= NONCE_MAX:
+            raise ValueError(
+                f"nonce length {len(self.nonce)} outside [{NONCE_MIN}, {NONCE_MAX}]")
+
+
+@dataclass(frozen=True)
+class IdBody:
+    id_type: int
+    identity: bytes
+
+
+@dataclass(frozen=True)
+class CertBody:
+    encoding: int
+    certificate: bytes
+
+
+@dataclass(frozen=True)
+class SigBody:
+    signature: bytes
+
+    def __post_init__(self):
+        if not self.signature:
+            raise ValueError("signature must be non-empty")
+
+
+@dataclass(frozen=True)
+class DevBody:
+    """Device-information payload body: sealed 7-byte serial record."""
+    nonce: bytes
+    ciphertext: bytes
+    format_version: int = DEV_FORMAT_VERSION
+
+    def __post_init__(self):
+        if len(self.nonce) != DEV_NONCE_LEN:
+            raise ValueError(f"DEV nonce must be {DEV_NONCE_LEN} bytes")
+        if len(self.ciphertext) < DEV_TAG_LEN:
+            raise ValueError("DEV ciphertext shorter than an AEAD tag")
+
+    @classmethod
+    def from_sealed(cls, blob: bytes) -> "DevBody":
+        """Wrap a crypto.seal() output (nonce || ciphertext)."""
+        return cls(nonce=blob[:DEV_NONCE_LEN], ciphertext=blob[DEV_NONCE_LEN:])
+
+    @property
+    def sealed(self) -> bytes:
+        return self.nonce + self.ciphertext
+
+
+_BODY_TYPES = {
+    SaBody: PayloadType.SA,
+    KeBody: PayloadType.KE,
+    IdBody: PayloadType.ID,
+    CertBody: PayloadType.CERT,
+    SigBody: PayloadType.SIG,
+    NonceBody: PayloadType.NONCE,
+    DevBody: PayloadType.DEV,
+}
+
+Body = SaBody | KeBody | NonceBody | IdBody | CertBody | SigBody | DevBody
+
+
+def payload_type_of(body: Body) -> PayloadType:
+    return _BODY_TYPES[type(body)]
+
+
+@dataclass(frozen=True)
+class IsakmpPayload:
+    """One payload: ``next_payload`` links to the successor's type (0 = last)."""
+
+    next_payload: int
+    body: Body
+
+    @property
+    def type(self) -> PayloadType:
+        return payload_type_of(self.body)
+
+
+@dataclass
+class IsakmpHeader:
+    initiator_cookie: bytes
+    responder_cookie: bytes
+    next_payload: int
+    version: int = ISAKMP_VERSION
+    exchange_type: int = EXCHANGE_AGGRESSIVE
+    flags: int = 0
+    message_id: int = 0
+    length: int = 0
+
+    @property
+    def encrypted(self) -> bool:
+        return bool(self.flags & FLAG_ENCRYPTION)
+
+
+@dataclass
+class IsakmpMessage:
+    header: IsakmpHeader
+    payloads: list[IsakmpPayload] = field(default_factory=list)
+    encrypted_chain: bytes | None = None
+
+    def first(self, ptype: PayloadType) -> Body | None:
+        for payload in self.payloads:
+            if payload.type == ptype:
+                return payload.body
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Body encode / parse
+# ---------------------------------------------------------------------------
+
+def _encode_body(body: Body) -> bytes:
+    if isinstance(body, SaBody):
+        return body.proposal
+    if isinstance(body, KeBody):
+        return body.public_value
+    if isinstance(body, NonceBody):
+        return body.nonce
+    if isinstance(body, IdBody):
+        return bytes([body.id_type]) + body.identity
+    if isinstance(body, CertBody):
+        return bytes([body.encoding]) + body.certificate
+    if isinstance(body, SigBody):
+        return body.signature
+    if isinstance(body, DevBody):
+        return bytes([body.format_version]) + body.nonce + body.ciphertext
+    raise TypeError(f"unknown body {type(body)!r}")
+
+
+def _parse_body(ptype: PayloadType, data: bytes, base: int) -> Body:
+    n = len(data)
+    if ptype == PayloadType.SA:
+        if n < 1:
+            raise BadLength("empty SA body", base)
+        return SaBody(data)
+    if ptype == PayloadType.KE:
+        if n < 1:
+            raise BadLength("empty KE body", base)
+        return KeBody(data)
+    if ptype == PayloadType.NONCE:
+        if not NONCE_MIN <= n <= NONCE_MAX:
+            raise BadLength(f"nonce body of {n} bytes outside bounds", base)
+        return NonceBody(data)
+    if ptype == PayloadType.ID:
+        if n < 1:
+            raise BadLength("ID body needs an id_type byte", base)
+        return IdBody(data[0], data[1:])
+    if ptype == PayloadType.CERT:
+        if n < 1:
+            raise BadLength("CERT body needs an encoding byte", base)
+        return CertBody(data[0], data[1:])
+    if ptype == PayloadType.SIG:
+        if n < 1:
+            raise BadLength("empty SIG body", base)
+        return SigBody(data)
+    if ptype == PayloadType.DEV:
+        if n < 1 + DEV_NONCE_LEN + DEV_TAG_LEN:
+            raise BadLength(
+                f"DEV body of {n} bytes below minimum "
+                f"{1 + DEV_NONCE_LEN + DEV_TAG_LEN}", base)
+        if data[0] != DEV_FORMAT_VERSION:
+            raise BadVersion(f"DEV format version {data[0]}", base)
+        return DevBody(nonce=data[1:1 + DEV_NONCE_LEN],
+                       ciphertext=data[1 + DEV_NONCE_LEN:])
+    raise UnknownPayloadType(f"payload type {int(ptype)}", base)
+
+
+# ---------------------------------------------------------------------------
+# Chain encode / parse
+# ---------------------------------------------------------------------------
+
+def _check_links(first_type: int, payloads: list[IsakmpPayload]) -> None:
+    expected = first_type
+    for payload in payloads:
+        if payload.type != expected:
+            raise ChainMismatch(
+                f"link says type {expected}, payload is {int(payload.type)}")
+        expected = payload.next_payload
+    if expected != 0:
+        raise ChainMismatch(f"last payload links to type {expected}, not 0")
+
+
+def _encode_chain(payloads: list[IsakmpPayload]) -> bytes:
+    out = bytearray()
+    for payload in payloads:
+        body = _encode_body(payload.body)
+        out += struct.pack("!BBH", payload.next_payload, 0,
+                           GENERIC_HEADER_LEN + len(body))
+        out += body
+    return bytes(out)
+
+
+def _parse_chain(data: bytes, offset: int, first_type: int,
+                 link_offset: int) -> tuple[list[IsakmpPayload], int]:
+    """Parse payloads until a 0 link; returns (payloads, end offset)."""
+    payloads = []
+    ptype = first_type
+    while ptype != 0:
+        try:
+            ptype = PayloadType(ptype)
+        except ValueError:
+            raise UnknownPayloadType(f"payload type {ptype}", link_offset) from None
+        if offset + GENERIC_HEADER_LEN > len(data):
+            raise Truncated("generic payload header", offset)
+        next_payload, reserved, plen = struct.unpack_from("!BBH", data, offset)
+        if reserved != 0:
+            raise NonzeroReserved(f"reserved byte {reserved:#04x}", offset + 1)
+        if plen < GENERIC_HEADER_LEN:
+            raise BadLength(f"payload length {plen} below header size", offset + 2)
+        if offset + plen > len(data):
+            raise Truncated(f"payload claims {plen} bytes", offset + 2)
+        body = _parse_body(ptype, data[offset + GENERIC_HEADER_LEN:offset + plen],
+                           offset + GENERIC_HEADER_LEN)
+        payloads.append(IsakmpPayload(next_payload=next_payload, body=body))
+        link_offset = offset
+        offset += plen
+        ptype = next_payload
+    return payloads, offset
+
+
+# ---------------------------------------------------------------------------
+# Message encode / decode
+# ---------------------------------------------------------------------------
+
+def encode_message(msg: IsakmpMessage) -> bytes:
+    """Serialize; header length is recomputed, links are verified."""
+    hdr = msg.header
+    first_type = msg.payloads[0].type if msg.payloads else 0
+    if hdr.next_payload != first_type:
+        raise ChainMismatch(
+            f"header links to type {hdr.next_payload}, first payload is {first_type}")
+    _check_links(first_type, msg.payloads)
+    if msg.encrypted_chain is not None and not hdr.encrypted:
+        raise ChainMismatch("encrypted chain present without encryption flag")
+    chain = _encode_chain(msg.payloads)
+    tail = msg.encrypted_chain or b""
+    length = HEADER_LEN + len(chain) + len(tail)
+    head = _HEADER.pack(hdr.initiator_cookie, hdr.responder_cookie,
+                        hdr.next_payload, hdr.version, hdr.exchange_type,
+                        hdr.flags, hdr.message_id, length)
+    return head + chain + tail
+
+
+def decode_message(data: bytes) -> IsakmpMessage:
+    """Parse arbitrary bytes into a message or raise a named codec error."""
+    if len(data) < HEADER_LEN:
+        raise Truncated(f"header needs {HEADER_LEN} bytes, got {len(data)}",
+                        len(data))
+    (cky_i, cky_r, next_payload, version, exchange_type, flags,
+     message_id, length) = _HEADER.unpack_from(data)
+    if version != ISAKMP_VERSION:
+        raise BadVersion(f"version byte {version:#04x}", 17)
+    if length != len(data):
+        raise BadLength(f"header says {length} bytes, message has {len(data)}", 24)
+    header = IsakmpHeader(
+        initiator_cookie=cky_i, responder_cookie=cky_r,
+        next_payload=next_payload, version=version,
+        exchange_type=exchange_type, flags=flags,
+        message_id=message_id, length=length)
+    payloads, offset = _parse_chain(data, HEADER_LEN, next_payload, 16)
+    encrypted_chain = None
+    if offset < len(data):
+        if not header.encrypted:
+            raise BadLength(
+                f"{len(data) - offset} trailing bytes without encryption flag",
+                offset)
+        encrypted_chain = data[offset:]
+    return IsakmpMessage(header=header, payloads=payloads,
+                         encrypted_chain=encrypted_chain)
+
+
+def link_payloads(bodies: list[Body]) -> list[IsakmpPayload]:
+    """Wrap bodies into a correctly linked payload chain."""
+    out = []
+    for i, body in enumerate(bodies):
+        nxt = payload_type_of(bodies[i + 1]) if i + 1 < len(bodies) else 0
+        out.append(IsakmpPayload(next_payload=nxt, body=body))
+    return out
+
+
+def build_message(initiator_cookie: bytes, responder_cookie: bytes,
+                  bodies: list[Body], *, flags: int = 0, message_id: int = 0,
+                  encrypted_chain: bytes | None = None) -> IsakmpMessage:
+    """Assemble a message with links and header length finalized."""
+    payloads = link_payloads(bodies)
+    header = IsakmpHeader(
+        initiator_cookie=initiator_cookie, responder_cookie=responder_cookie,
+        next_payload=int(payloads[0].type) if payloads else 0, flags=flags,
+        message_id=message_id)
+    msg = IsakmpMessage(header=header, payloads=payloads,
+                        encrypted_chain=encrypted_chain)
+    header.length = len(encode_message(msg))
+    return msg
+
+
+# ---------------------------------------------------------------------------
+# Encrypted payload chains
+# ---------------------------------------------------------------------------
+
+def serialize_payload_chain(payloads: list[IsakmpPayload]) -> bytes:
+    """Self-describing chain plaintext: leading type byte, then the chain."""
+    first_type = payloads[0].type if payloads else 0
+    _check_links(first_type, payloads)
+    return bytes([first_type]) + _encode_chain(payloads)
+
+
+def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:
+    if not data:
+        raise Truncated("empty chain plaintext", 0)
+    payloads, end = _parse_chain(data, 1, data[0], 0)
+    if end != len(data):
+        raise BadLength(f"{len(data) - end} trailing bytes after chain", end)
+    return payloads
+
+
+def encrypt_payload_chain(key: bytes, payloads: list[IsakmpPayload],
+                          rng: random.Random,
+                          suite: crypto.AeadSuite = crypto.AES256GCM) -> bytes:
+    """Seal a whole payload chain into one opaque blob."""
+    return crypto.seal(suite, key, rng, serialize_payload_chain(payloads))
+
+
+def decrypt_payload_chain(key: bytes, blob: bytes,
+                          suite: crypto.AeadSuite = crypto.AES256GCM
+                          ) -> list[IsakmpPayload]:
+    """Authenticate, then parse; tampering surfaces before any parsing."""
+    return parse_payload_chain(crypto.open_sealed(suite, key, blob))
+
+
+# ---------------------------------------------------------------------------
+# Byte-range maps for tamper/observe tooling
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PayloadRange:
+    type: PayloadType
+    body_start: int
+    body_end: int
+
+
+def payload_byte_ranges(data: bytes) -> list[PayloadRange]:
+    """Map each clear-chain payload to its body's byte range in ``data``."""
+    msg = decode_message(data)
+    ranges = []
+    offset = HEADER_LEN
+    for payload in msg.payloads:
+        body_len = len(_encode_body(payload.body))
+        ranges.append(PayloadRange(payload.type, offset + GENERIC_HEADER_LEN,
+                                   offset + GENERIC_HEADER_LEN + body_len))
+        offset += GENERIC_HEADER_LEN + body_len
+    return ranges
+
+
+def encrypted_chain_range(data: bytes) -> tuple[int, int] | None:
+    """Byte range of the trailing encrypted blob, if the message has one."""
+    msg = decode_message(data)
+    if msg.encrypted_chain is None:
+        return None
+    return len(data) - len(msg.encrypted_chain), len(data)
+
+
+# Canonical single-transform proposal: DOI, situation, one proposal with one
+# transform carrying cipher/hash/auth/group attribute pairs.
+def _default_sa() -> bytes:
+    attrs = struct.pack("!HHHHHHHH",
+                        0x8001, 7,    # encryption algorithm
+                        0x8002, 4,    # hash algorithm
+                        0x8003, 3,    # auth method: signature
+                        0x8004, 14)   # DH group
+    transform = struct.pack("!BBBB", 1, 1, 0, 0) + attrs
+    proposal = struct.pack("!BBBB", 1, 1, 0, 1) + transform
+    return struct.pack("!II", 1, 1) + proposal
+
+
+DEFAULT_SA_PROPOSAL = _default_sa()

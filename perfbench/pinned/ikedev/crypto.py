@@ -1,0 +1,242 @@
+"""Cryptographic primitives and the phase-1 key-derivation formulas.
+
+Everything here is a pure function of its inputs; randomness always comes
+from a caller-supplied ``random.Random`` so simulation runs are exactly
+reproducible from a seed.  The primitive suite (AEAD cipher, signature
+scheme, PRF) is pluggable; the default suite is AES-256-GCM + Ed25519 +
+HMAC-SHA256 and its identifiers are recorded in scenario reports.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import hmac
+import random
+from dataclasses import dataclass
+
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+from .errors import AuthFailure, InvalidSerialLength, MalformedCiphertext, WeakPublicValue
+
+SERIAL_LEN = 7
+
+PRF_ID = "hmac-sha256"
+SIGNATURE_ID = "ed25519"
+SIGNATURE_LEN = 64
+PUBLIC_KEY_LEN = 32
+
+
+def derive_rng(seed: int, label: str) -> random.Random:
+    """Independent sub-generator for (seed, label); stable across call order."""
+    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+# ---------------------------------------------------------------------------
+# Diffie-Hellman
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DhGroup:
+    """Multiplicative group mod p with generator g.
+
+    ``value_size`` is the fixed big-endian width used for public values and
+    shared secrets on the wire.
+    """
+
+    name: str
+    p: int
+    g: int
+    exponent_bits: int
+
+    @property
+    def value_size(self) -> int:
+        return (self.p.bit_length() + 7) // 8
+
+    def encode(self, value: int) -> bytes:
+        return value.to_bytes(self.value_size, "big")
+
+
+# Small group for fast deterministic simulation runs; 2**64 - 59 is prime.
+DESK_GROUP = DhGroup(name="desk64", p=2**64 - 59, g=2, exponent_bits=56)
+
+# RFC 3526 group 14 (2048-bit MODP).
+_MODP2048_P = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
+    "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"
+    "EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245"
+    "E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D"
+    "C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F"
+    "83655D23DCA3AD961C62F356208552BB9ED529077096966D"
+    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
+    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
+    "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
+    "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
+)
+MODP2048_GROUP = DhGroup(name="modp2048", p=_MODP2048_P, g=2, exponent_bits=256)
+
+DH_GROUPS = {g.name: g for g in (DESK_GROUP, MODP2048_GROUP)}
+
+
+def dh_keypair(group: DhGroup, rng: random.Random) -> tuple[int, bytes]:
+    """Fresh secret exponent and its public value g^x mod p (fixed width)."""
+    x = 0
+    while not 1 <= x <= group.p - 2:
+        x = rng.getrandbits(group.exponent_bits)
+    return x, group.encode(pow(group.g, x, group.p))
+
+
+def dh_shared(group: DhGroup, x: int, peer_gx: bytes) -> bytes:
+    """Shared secret peer_gx^x mod p; rejects degenerate public values."""
+    value = int.from_bytes(peer_gx, "big")
+    if not 2 <= value <= group.p - 2:
+        raise WeakPublicValue(f"public value {value} outside [2, p-2]")
+    return group.encode(pow(value, x, group.p))
+
+
+# ---------------------------------------------------------------------------
+# PRF and phase-1 derivations
+# ---------------------------------------------------------------------------
+
+def prf(key: bytes, data: bytes) -> bytes:
+    return hmac.new(key, data, hashlib.sha256).digest()
+
+
+@dataclass(frozen=True)
+class SkeyidBundle:
+    """Phase-1 master keying material and its derived sub-keys."""
+
+    skeyid: bytes
+    skeyid_d: bytes
+    skeyid_a: bytes
+    skeyid_e: bytes
+
+
+def derive_skeyid(ni: bytes, nr: bytes, gxy: bytes,
+                  cky_i: bytes, cky_r: bytes) -> SkeyidBundle:
+    """Signature-authentication SKEYID ladder.
+
+    SKEYID   = prf(Ni | Nr, g^xy)
+    SKEYID_d = prf(SKEYID, g^xy | CKY-I | CKY-R | 0)
+    SKEYID_a = prf(SKEYID, SKEYID_d | g^xy | CKY-I | CKY-R | 1)
+    SKEYID_e = prf(SKEYID, SKEYID_a | g^xy | CKY-I | CKY-R | 2)
+    """
+    skeyid = prf(ni + nr, gxy)
+    skeyid_d = prf(skeyid, gxy + cky_i + cky_r + b"\x00")
+    skeyid_a = prf(skeyid, skeyid_d + gxy + cky_i + cky_r + b"\x01")
+    skeyid_e = prf(skeyid, skeyid_a + gxy + cky_i + cky_r + b"\x02")
+    return SkeyidBundle(skeyid, skeyid_d, skeyid_a, skeyid_e)
+
+
+def compute_hash_i(skeyid: bytes, gxi: bytes, gxr: bytes, cky_i: bytes,
+                   cky_r: bytes, sa_bytes: bytes, id_bytes: bytes) -> bytes:
+    """HASH_I = prf(SKEYID, g^xi | g^xr | CKY-I | CKY-R | SAi_b | IDii_b)."""
+    return prf(skeyid, gxi + gxr + cky_i + cky_r + sa_bytes + id_bytes)
+
+
+def compute_hash_r(skeyid: bytes, gxr: bytes, gxi: bytes, cky_r: bytes,
+                   cky_i: bytes, sa_bytes: bytes, id_bytes: bytes) -> bytes:
+    """Responder-side analogue of :func:`compute_hash_i` (mirrored inputs).
+
+    ``sa_bytes`` is the SA body as transmitted in the responder's own
+    message, so any in-flight change to either message's SA payload makes
+    the two ends disagree here and surfaces at signature verification.
+    """
+    return prf(skeyid, gxr + gxi + cky_r + cky_i + sa_bytes + id_bytes)
+
+
+# ---------------------------------------------------------------------------
+# Key derivation for the device-gated variant
+# ---------------------------------------------------------------------------
+
+def _check_serial(serial: bytes) -> None:
+    if len(serial) != SERIAL_LEN:
+        raise InvalidSerialLength(f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
+
+
+def kdf_serial(serial: bytes) -> bytes:
+    """Stretch a 7-byte device serial to a full-width cipher key."""
+    _check_serial(serial)
+    return prf(b"ikedev/serial-key/v1", serial)
+
+
+def kdf_session(key1: bytes, serial: bytes) -> bytes:
+    """Per-sender chain key binding the fleet secret to one device serial."""
+    _check_serial(serial)
+    return prf(key1, b"ikedev/session-key/v1" + serial)
+
+
+# ---------------------------------------------------------------------------
+# Authenticated encryption
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AeadSuite:
+    """AEAD cipher parameters; ``seal``/``open_sealed`` do nonce framing."""
+
+    name: str
+    key_size: int
+    nonce_size: int
+    tag_size: int
+
+
+AES256GCM = AeadSuite(name="aes256gcm", key_size=32, nonce_size=16, tag_size=16)
+
+CIPHER_SUITES = {AES256GCM.name: AES256GCM}
+
+
+def get_cipher(name: str) -> AeadSuite:
+    try:
+        return CIPHER_SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown cipher suite {name!r}") from None
+
+
+def seal(suite: AeadSuite, key: bytes, rng: random.Random, plaintext: bytes) -> bytes:
+    """Encrypt with a fresh random nonce; returns nonce || ciphertext || tag."""
+    nonce = rng.randbytes(suite.nonce_size)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, b"")
+
+
+def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
+    """Authenticate and decrypt a :func:`seal` blob."""
+    if len(blob) < suite.nonce_size + suite.tag_size:
+        raise MalformedCiphertext(
+            f"ciphertext of {len(blob)} bytes cannot hold nonce and tag")
+    nonce, ct = blob[:suite.nonce_size], blob[suite.nonce_size:]
+    try:
+        return AESGCM(key).decrypt(nonce, ct, b"")
+    except InvalidTag:
+        raise AuthFailure("authentication tag mismatch") from None
+
+
+# ---------------------------------------------------------------------------
+# Signatures
+# ---------------------------------------------------------------------------
+
+def signature_keypair(seed: bytes) -> tuple[bytes, bytes]:
+    """Deterministic Ed25519 keypair from 32 seed bytes -> (private, public)."""
+    priv = Ed25519PrivateKey.from_private_bytes(seed[:32])
+    pub = priv.public_key().public_bytes(
+        encoding=serialization.Encoding.Raw, format=serialization.PublicFormat.Raw)
+    return seed[:32], pub
+
+
+def sign(private_key: bytes, data: bytes) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(private_key).sign(data)
+
+
+def verify(public_key: bytes, data: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
+        return True
+    except InvalidSignature:
+        return False

@@ -1,0 +1,915 @@
+"""Deterministic adversarial network simulator.
+
+Principals exchange wire bytes over an in-memory medium with adversary
+hooks: source-spoofed floods, byte-level tampering, passive observation at
+two knowledge levels, and replay of captured datagrams.  Every random
+choice flows from ``crypto.derive_rng(seed, label)``, so a (scenario, seed)
+pair reproduces the identical :class:`ScenarioReport`, byte for byte.
+
+Verdict rules (fixed, mechanical — never hand-set):
+
+* ``sa_ke_protection``     — supported iff both tamper scenarios end
+  unestablished with zero signature-verification attempts anywhere (the
+  tamper was caught at a decrypt step) AND the no-knowledge observer of the
+  honest run recovered no SA or KE plaintext.
+* ``cert_sig_protection``  — supported iff the no-knowledge observer of the
+  honest run recovered no CERT or SIG plaintext.
+* ``dos_prevention``       — supported iff a forged flood left the
+  responder's ``dh_ops`` at exactly zero.
+* ``certificate_storage``  — ``device`` iff every signature in the honest
+  run came from a token operation, else ``file``.
+
+A fifth comparison column sometimes quoted alongside these —
+protocol-version extensibility — has no operational definition and is
+documentation only; it is deliberately absent from the verdict map.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+import threading
+from dataclasses import dataclass, field
+from enum import Enum
+
+from . import codec, crypto
+from .codec import DevBody
+from .errors import (
+    AuthFailure,
+    CodecError,
+    ConfigError,
+    DeviceAbsent,
+    IncompleteTrace,
+    MalformedCiphertext,
+    SelectorMiss,
+)
+from .protocol import (
+    CERT_ENCODING_SEALED,
+    Counters,
+    HandshakeSession,
+    ReplayGuard,
+    Role,
+    SessionState,
+    Variant,
+)
+from .usbkey import (
+    DeploymentConfig,
+    FileIdentity,
+    KeySelector,
+    SecurityToken,
+    create_token,
+    device_decrypt,
+    device_session_decrypt,
+    make_file_identity,
+)
+
+SUPPORTED = "supported"
+NOT_SUPPORTED = "not-supported"
+TABLE_COLUMNS = ("sa_ke_protection", "cert_sig_protection", "dos_prevention",
+                 "certificate_storage")
+MATRIX_SCENARIOS = ("honest", "flood", "tamper-sa", "tamper-ke")
+FLOOD_COUNT = 1000
+
+EXPECTED_VERDICTS = {
+    "baseline": {
+        "sa_ke_protection": NOT_SUPPORTED,
+        "cert_sig_protection": NOT_SUPPORTED,
+        "dos_prevention": NOT_SUPPORTED,
+        "certificate_storage": "file",
+    },
+    "improved": {
+        "sa_ke_protection": SUPPORTED,
+        "cert_sig_protection": SUPPORTED,
+        "dos_prevention": SUPPORTED,
+        "certificate_storage": "device",
+    },
+}
+
+
+class ObserverKnowledge(Enum):
+    NONE = "none"
+    HAS_KEY1_AND_TOKEN = "has-key1-and-token"
+
+
+# ---------------------------------------------------------------------------
+# Adversary script actions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Flood:
+    """Source-spoofed message-1 packets; DEV forged under a random key."""
+    count: int
+    forge_source: str = "attacker"
+
+
+@dataclass(frozen=True)
+class Tamper:
+    """Flip one byte of the ``message``-th delivered datagram.
+
+    ``payload`` selects the first clear-chain payload of that type; when it
+    does not resolve (the target rides inside the encrypted blob) and
+    ``fallback_to_blob`` is set, the same offset is applied inside the blob
+    instead.
+    """
+    message: int
+    payload: str | None = None
+    offset: int = 0
+    xor: int = 0x01
+    fallback_to_blob: bool = True
+
+
+@dataclass(frozen=True)
+class Observe:
+    knowledge: ObserverKnowledge = ObserverKnowledge.NONE
+
+
+@dataclass(frozen=True)
+class Replay:
+    """Re-inject the captured ``message``-th datagram to a fresh session.
+
+    ``delay`` is carried for config compatibility; the simulator has no
+    timing model, replays simply run after the honest flow.
+    """
+    message: int
+    delay: int = 0
+
+
+Action = Flood | Tamper | Observe | Replay
+
+
+@dataclass(frozen=True)
+class PrincipalConfig:
+    name: str
+    role: Role
+    token: bool = True
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    name: str
+    variant: Variant
+    seed: int
+    principals: tuple[PrincipalConfig, ...]
+    adversary: tuple[Action, ...] = ()
+    handshake: bool = True
+    disable_dos_gate: bool = False
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("scenario must be a JSON object")
+        known = {"name", "variant", "seed", "principals", "adversary",
+                 "handshake", "disable_dos_gate"}
+        extra = set(raw) - known
+        if extra:
+            raise ConfigError(f"unknown scenario fields: {sorted(extra)}")
+        try:
+            variant = Variant(raw.get("variant", "baseline"))
+        except ValueError:
+            raise ConfigError(f"unknown variant {raw.get('variant')!r}") from None
+        principals = tuple(
+            _principal_from_dict(p)
+            for p in raw.get("principals", _DEFAULT_PRINCIPALS))
+        names = [p.name for p in principals]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate principal names: {names}")
+        adversary = tuple(_action_from_dict(a) for a in raw.get("adversary", []))
+        return cls(
+            name=str(raw.get("name", "scenario")),
+            variant=variant,
+            seed=int(raw.get("seed", 0)),
+            principals=principals,
+            adversary=adversary,
+            handshake=bool(raw.get("handshake", True)),
+            disable_dos_gate=bool(raw.get("disable_dos_gate", False)),
+        )
+
+
+_DEFAULT_PRINCIPALS = (
+    {"name": "alice", "role": "initiator"},
+    {"name": "bob", "role": "responder"},
+)
+
+
+def _principal_from_dict(raw: dict) -> PrincipalConfig:
+    if not isinstance(raw, dict) or "name" not in raw or "role" not in raw:
+        raise ConfigError(f"principal needs name and role: {raw!r}")
+    try:
+        role = Role(raw["role"])
+    except ValueError:
+        raise ConfigError(f"unknown role {raw['role']!r}") from None
+    return PrincipalConfig(name=str(raw["name"]), role=role,
+                           token=bool(raw.get("token", True)))
+
+
+def _action_from_dict(raw: dict) -> Action:
+    if not isinstance(raw, dict) or "action" not in raw:
+        raise ConfigError(f"adversary action needs an 'action' field: {raw!r}")
+    kind = raw["action"]
+    fields_by_kind = {
+        "flood": {"count", "forge_source"},
+        "tamper": {"message", "payload", "offset", "xor", "fallback_to_blob"},
+        "observe": {"knowledge"},
+        "replay": {"message", "delay"},
+    }
+    if kind not in fields_by_kind:
+        raise ConfigError(f"unknown adversary action {kind!r}")
+    extra = set(raw) - fields_by_kind[kind] - {"action"}
+    if extra:
+        raise ConfigError(f"unknown fields for {kind}: {sorted(extra)}")
+    try:
+        if kind == "flood":
+            count = int(raw.get("count", FLOOD_COUNT))
+            if count < 1:
+                raise ConfigError("flood count must be >= 1")
+            return Flood(count=count,
+                         forge_source=str(raw.get("forge_source", "attacker")))
+        if kind == "tamper":
+            xor = int(raw.get("xor", 1))
+            if not 1 <= xor <= 255:
+                raise ConfigError("tamper xor must be in [1, 255]")
+            payload = raw.get("payload")
+            return Tamper(message=int(raw["message"]),
+                          payload=None if payload is None else str(payload),
+                          offset=int(raw.get("offset", 0)), xor=xor,
+                          fallback_to_blob=bool(raw.get("fallback_to_blob", True)))
+        if kind == "replay":
+            return Replay(message=int(raw["message"]),
+                          delay=int(raw.get("delay", 0)))
+        try:
+            knowledge = ObserverKnowledge(raw.get("knowledge", "none"))
+        except ValueError:
+            raise ConfigError(
+                f"unknown observer knowledge {raw.get('knowledge')!r}") from None
+        return Observe(knowledge=knowledge)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} action: {exc}") from None
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
+    return ScenarioConfig.from_dict(raw)
+
+
+# ---------------------------------------------------------------------------
+# Adversary primitives
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TamperSelector:
+    payload: str | None = None
+    offset: int = 0
+
+
+def tamper_in_flight(data: bytes, selector: TamperSelector, xor: int) -> bytes:
+    """Flip one byte; the header length field is never invalidated because
+    the mutation preserves size."""
+    if selector.payload is not None:
+        try:
+            ranges = codec.payload_byte_ranges(data)
+        except CodecError as exc:
+            raise SelectorMiss(f"message undecodable: {exc}") from None
+        wanted = selector.payload.upper()
+        for rng in ranges:
+            if rng.type.name == wanted:
+                pos = rng.body_start + selector.offset
+                if pos >= rng.body_end:
+                    raise SelectorMiss(
+                        f"offset {selector.offset} beyond {wanted} body")
+                break
+        else:
+            raise SelectorMiss(f"no {wanted} payload in clear chain")
+    else:
+        pos = selector.offset
+        if not 0 <= pos < len(data):
+            raise SelectorMiss(f"offset {pos} beyond message of {len(data)} bytes")
+    return data[:pos] + bytes([data[pos] ^ (xor & 0xFF)]) + data[pos + 1:]
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One piece of plaintext an observer could read off the wire."""
+    payload: str
+    plaintext: bytes
+
+
+def _body_plaintext(body: codec.Body) -> bytes:
+    if isinstance(body, codec.SaBody):
+        return body.proposal
+    if isinstance(body, codec.KeBody):
+        return body.public_value
+    if isinstance(body, codec.NonceBody):
+        return body.nonce
+    if isinstance(body, codec.IdBody):
+        return body.identity
+    if isinstance(body, codec.CertBody):
+        return body.certificate
+    if isinstance(body, codec.SigBody):
+        return body.signature
+    raise TypeError(type(body))
+
+
+def observe(data: bytes, knowledge: ObserverKnowledge,
+            token: SecurityToken | None = None,
+            known_serials: set[bytes] | None = None) -> list[Finding]:
+    """What an eavesdropper recovers from one datagram.
+
+    Rules: a DEV body is ciphertext and never yields plaintext by itself; a
+    CERT body is readable iff its encoding byte is not the sealed marker; a
+    SIG body is readable iff the message is not flag-encrypted; every other
+    clear-chain body is readable as-is.  With key1 and a fleet token, DEV
+    bodies decrypt to serials, and those serials unlock the sealed CERT/SIG
+    bodies and the encrypted chain blob.  ``known_serials`` (mutated in
+    place) lets a stateful observer carry serials across a transcript —
+    message 3 has no DEV payload of its own.
+    """
+    try:
+        msg = codec.decode_message(data)
+    except CodecError:
+        return []
+    has_key1 = (knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN
+                and token is not None)
+    serials = known_serials if known_serials is not None else set()
+    findings: list[Finding] = []
+    serials_here: list[bytes] = []
+
+    def unseal_with_serials(blob: bytes) -> bytes | None:
+        for serial in serials_here + sorted(serials - set(serials_here)):
+            try:
+                return crypto.open_sealed(crypto.AES256GCM,
+                                          crypto.kdf_serial(serial), blob)
+            except (AuthFailure, MalformedCiphertext):
+                continue
+        return None
+
+    for payload in msg.payloads:
+        body = payload.body
+        if isinstance(body, DevBody):
+            if not has_key1:
+                continue
+            try:
+                serial = device_decrypt(token, KeySelector.KEY1, body.sealed)
+            except (AuthFailure, MalformedCiphertext):
+                continue
+            findings.append(Finding("DEV-SERIAL", serial))
+            serials_here.append(serial)
+            serials.add(serial)
+        elif isinstance(body, codec.CertBody):
+            if body.encoding != CERT_ENCODING_SEALED:
+                findings.append(Finding("CERT", body.certificate))
+            elif has_key1:
+                plain = unseal_with_serials(body.certificate)
+                if plain is not None:
+                    findings.append(Finding("CERT", plain))
+        elif isinstance(body, codec.SigBody):
+            if not msg.header.encrypted:
+                findings.append(Finding("SIG", body.signature))
+            elif has_key1:
+                plain = unseal_with_serials(body.signature)
+                if plain is not None:
+                    findings.append(Finding("SIG", plain))
+        else:
+            findings.append(Finding(payload.type.name, _body_plaintext(body)))
+
+    if msg.encrypted_chain is not None and has_key1:
+        for serial in serials_here + sorted(serials - set(serials_here)):
+            try:
+                plain = device_session_decrypt(token, serial,
+                                               msg.encrypted_chain)
+            except (AuthFailure, MalformedCiphertext):
+                continue
+            try:
+                inner = codec.parse_payload_chain(plain)
+            except CodecError:
+                break
+            for payload in inner:
+                findings.append(Finding(payload.type.name,
+                                        _body_plaintext(payload.body)))
+            break
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# Scenario execution
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Principal:
+    name: str
+    role: Role
+    token: SecurityToken | None
+    file_identity: FileIdentity
+    replay_guard: ReplayGuard | None
+    sessions: list[HandshakeSession] = field(default_factory=list)
+
+    def counters(self) -> Counters:
+        total = Counters()
+        for session in self.sessions:
+            total.merge(session.counters)
+        return total
+
+    def signature_backend(self) -> str | None:
+        backends = {s.signature_backend for s in self.sessions
+                    if s.signature_backend is not None}
+        if not backends:
+            return None
+        return backends.pop() if len(backends) == 1 else "mixed"
+
+
+@dataclass
+class ScenarioReport:
+    scenario: str
+    variant: str
+    seed: int
+    established: bool | None
+    skeyid_match: bool | None
+    flood_sent: int
+    principal_counters: dict[str, dict[str, int]]
+    sign_backends: dict[str, str | None]
+    observer_findings: list[dict]
+    failure_trace: list[dict]
+    message_log: list[dict]
+    verdicts: dict[str, str]
+
+    def to_dict(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "variant": self.variant,
+            "seed": self.seed,
+            "established": self.established,
+            "skeyid_match": self.skeyid_match,
+            "flood_sent": self.flood_sent,
+            "principal_counters": self.principal_counters,
+            "sign_backends": self.sign_backends,
+            "observer_findings": self.observer_findings,
+            "failure_trace": self.failure_trace,
+            "message_log": self.message_log,
+            "verdicts": self.verdicts,
+        }
+
+    def to_json(self) -> bytes:
+        """Canonical byte serialization; equal seeds must reproduce it."""
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":")).encode()
+
+    def total_sig_verifies(self) -> int:
+        return sum(c["sig_verifies"] for c in self.principal_counters.values())
+
+
+@dataclass
+class _ObserverState:
+    knowledge: ObserverKnowledge
+    token: SecurityToken | None
+    known_serials: set[bytes] = field(default_factory=set)
+    findings: list[dict] = field(default_factory=list)
+
+
+def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
+                 source: str) -> bytes:
+    """Well-formed message 1 that cost the attacker no key1 and no modexp."""
+    bodies = [
+        codec.SaBody(codec.DEFAULT_SA_PROPOSAL),
+        codec.KeBody(rng.randbytes(group.value_size)),
+        codec.NonceBody(rng.randbytes(16)),
+        codec.IdBody(2, source.encode()),
+    ]
+    if variant is Variant.BASELINE:
+        msg = codec.build_message(rng.randbytes(8), bytes(8), bodies)
+    else:
+        sealed = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
+                             rng.randbytes(crypto.SERIAL_LEN))
+        blob = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
+                           codec.serialize_payload_chain(
+                               codec.link_payloads(bodies)))
+        msg = codec.build_message(rng.randbytes(8), bytes(8),
+                                  [DevBody.from_sealed(sealed)],
+                                  flags=codec.FLAG_ENCRYPTION,
+                                  encrypted_chain=blob)
+    return codec.encode_message(msg)
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    seed = config.seed
+    deployment = DeploymentConfig(
+        key1=crypto.derive_rng(seed, "deployment-key1").randbytes(32),
+        seed=seed)
+    group = crypto.DESK_GROUP
+
+    principals: dict[str, Principal] = {}
+    for pc in config.principals:
+        serial = crypto.derive_rng(
+            seed, f"device-serial|{pc.name}").randbytes(crypto.SERIAL_LEN)
+        principals[pc.name] = Principal(
+            name=pc.name, role=pc.role,
+            token=create_token(serial, deployment, pc.name) if pc.token else None,
+            file_identity=make_file_identity(
+                pc.name,
+                crypto.derive_rng(seed, f"file-identity|{pc.name}").randbytes(32)),
+            replay_guard=ReplayGuard() if pc.role is Role.RESPONDER else None)
+
+    initiator = next((p for p in principals.values()
+                      if p.role is Role.INITIATOR), None)
+    responder = next((p for p in principals.values()
+                      if p.role is Role.RESPONDER), None)
+    if responder is None:
+        raise ConfigError("scenario needs a responder principal")
+    if config.handshake and initiator is None:
+        raise ConfigError("handshake scenario needs an initiator principal")
+
+    observers = []
+    for action in config.adversary:
+        if isinstance(action, Observe):
+            obs_token = None
+            if action.knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN:
+                obs_token = create_token(
+                    crypto.derive_rng(seed, "device-serial|observer")
+                    .randbytes(crypto.SERIAL_LEN),
+                    deployment, "observer")
+            observers.append(_ObserverState(action.knowledge, obs_token))
+    tampers = [a for a in config.adversary if isinstance(a, Tamper)]
+
+    transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
+    message_log: list[dict] = []
+    failure_trace: list[dict] = []
+    drained: dict[int, int] = {}
+
+    def drain(principal: Principal, session: HandshakeSession) -> None:
+        start = drained.get(id(session), 0)
+        for event in session.events[start:]:
+            if event.failure is not None:
+                failure_trace.append({"principal": principal.name,
+                                      "op": event.op,
+                                      "failure": event.failure})
+        drained[id(session)] = len(session.events)
+
+    def transmit(wire: bytes, src: str, dst: str, kind: str) -> bytes:
+        index = len(transcript)
+        tampered = False
+        for action in tampers:
+            if action.message != index:
+                continue
+            selector = TamperSelector(payload=action.payload,
+                                      offset=action.offset)
+            try:
+                wire = tamper_in_flight(wire, selector, action.xor)
+            except SelectorMiss:
+                if not (action.payload and action.fallback_to_blob):
+                    raise
+                blob = codec.encrypted_chain_range(wire)
+                if blob is None or blob[0] + action.offset >= blob[1]:
+                    raise
+                wire = tamper_in_flight(
+                    wire, TamperSelector(offset=blob[0] + action.offset),
+                    action.xor)
+            tampered = True
+        transcript.append((wire, src, dst, kind))
+        for obs in observers:
+            for finding in observe(wire, obs.knowledge, obs.token,
+                                   obs.known_serials):
+                obs.findings.append({"message": index,
+                                     "payload": finding.payload,
+                                     "hex": finding.plaintext.hex()})
+        try:
+            decoded = codec.decode_message(wire)
+            payload_names = [p.type.name for p in decoded.payloads]
+            blob_bytes = len(decoded.encrypted_chain or b"")
+        except CodecError:
+            payload_names, blob_bytes = [], 0
+        message_log.append({"index": index, "src": src, "dst": dst,
+                            "kind": kind, "size": len(wire),
+                            "payloads": payload_names,
+                            "blob_bytes": blob_bytes,
+                            "tampered": tampered, "delivered": True})
+        return wire
+
+    def fresh_session(principal: Principal) -> HandshakeSession:
+        ordinal = len(principal.sessions)
+        session = HandshakeSession(
+            role=principal.role, variant=config.variant, name=principal.name,
+            rng=crypto.derive_rng(seed, f"session|{principal.name}|{ordinal}"),
+            group=group,
+            token=principal.token if config.variant is Variant.IMPROVED else None,
+            file_identity=principal.file_identity,
+            replay_guard=principal.replay_guard,
+            disable_dos_gate=config.disable_dos_gate)
+        principal.sessions.append(session)
+        return session
+
+    def deliver_to_fresh(principal: Principal, wire: bytes, kind: str) -> None:
+        session = fresh_session(principal)
+        try:
+            msg = codec.decode_message(wire)
+        except CodecError as exc:
+            failure_trace.append({"principal": principal.name, "op": "decode",
+                                  "failure": f"codec:{type(exc).__name__}"})
+            return
+        try:
+            if kind in ("msg1", "flood"):
+                session.responder_on_msg1(msg)
+            elif kind == "msg2":
+                session.initiator_on_msg2(msg)
+            else:
+                session.responder_on_msg3(msg)
+        except DeviceAbsent:
+            pass
+        drain(principal, session)
+
+    # Phase 1: floods.
+    flood_sent = 0
+    attacker_rng = crypto.derive_rng(seed, "adversary")
+    for action in config.adversary:
+        if not isinstance(action, Flood):
+            continue
+        for _ in range(action.count):
+            wire = _forged_msg1(config.variant, attacker_rng, group,
+                                action.forge_source)
+            wire = transmit(wire, action.forge_source, responder.name, "flood")
+            deliver_to_fresh(responder, wire, "flood")
+            flood_sent += 1
+
+    # Phase 2: the honest handshake, if the scenario runs one.
+    established: bool | None = None
+    skeyid_match: bool | None = None
+    if config.handshake:
+        ini_session = fresh_session(initiator)
+        rsp_session = fresh_session(responder)
+        established = False
+        skeyid_match = False
+        try:
+            msg1 = ini_session.initiator_start()
+        except DeviceAbsent:
+            msg1 = None
+        drain(initiator, ini_session)
+        msg2 = None
+        if msg1 is not None:
+            wire1 = transmit(codec.encode_message(msg1), initiator.name,
+                             responder.name, "msg1")
+            try:
+                msg2 = rsp_session.responder_on_msg1(codec.decode_message(wire1))
+            except DeviceAbsent:
+                msg2 = None
+            except CodecError as exc:
+                failure_trace.append({"principal": responder.name,
+                                      "op": "decode",
+                                      "failure": f"codec:{type(exc).__name__}"})
+            drain(responder, rsp_session)
+        msg3 = None
+        if msg2 is not None:
+            wire2 = transmit(codec.encode_message(msg2), responder.name,
+                             initiator.name, "msg2")
+            try:
+                msg3 = ini_session.initiator_on_msg2(codec.decode_message(wire2))
+            except CodecError as exc:
+                failure_trace.append({"principal": initiator.name,
+                                      "op": "decode",
+                                      "failure": f"codec:{type(exc).__name__}"})
+            drain(initiator, ini_session)
+        if msg3 is not None:
+            wire3 = transmit(codec.encode_message(msg3), initiator.name,
+                             responder.name, "msg3")
+            try:
+                rsp_session.responder_on_msg3(codec.decode_message(wire3))
+            except CodecError as exc:
+                failure_trace.append({"principal": responder.name,
+                                      "op": "decode",
+                                      "failure": f"codec:{type(exc).__name__}"})
+            drain(responder, rsp_session)
+        established = (ini_session.state is SessionState.ESTABLISHED
+                       and rsp_session.state is SessionState.ESTABLISHED)
+        skeyid_match = (established
+                        and ini_session.skeyid == rsp_session.skeyid)
+
+    # Phase 3: replays of captured datagrams, each to a fresh session.
+    for action in config.adversary:
+        if not isinstance(action, Replay):
+            continue
+        if not 0 <= action.message < len(transcript):
+            raise ConfigError(
+                f"replay index {action.message} out of range "
+                f"({len(transcript)} messages captured)")
+        wire, _, dst, kind = transcript[action.message]
+        wire = transmit(wire, "adversary", dst, "replay")
+        target = principals[dst]
+        replay_kind = kind if kind != "replay" else "msg1"
+        deliver_to_fresh(target, wire, replay_kind)
+
+    report = ScenarioReport(
+        scenario=config.name,
+        variant=config.variant.value,
+        seed=seed,
+        established=established,
+        skeyid_match=skeyid_match,
+        flood_sent=flood_sent,
+        principal_counters={name: p.counters().to_dict()
+                            for name, p in sorted(principals.items())},
+        sign_backends={name: p.signature_backend()
+                       for name, p in sorted(principals.items())},
+        observer_findings=[{"knowledge": obs.knowledge.value, **finding}
+                           for obs in observers for finding in obs.findings],
+        failure_trace=failure_trace,
+        message_log=message_log,
+        verdicts={},
+    )
+    has_none_observer = any(
+        obs.knowledge is ObserverKnowledge.NONE for obs in observers)
+    report.verdicts = _partial_verdicts(report, responder.name,
+                                        has_none_observer)
+    return report
+
+
+def _findings_with(report: ScenarioReport, payloads: tuple[str, ...]) -> bool:
+    return any(f["payload"] in payloads for f in report.observer_findings
+               if f["knowledge"] == ObserverKnowledge.NONE.value)
+
+
+def _partial_verdicts(report: ScenarioReport, responder: str,
+                      has_none_observer: bool) -> dict[str, str]:
+    """Verdict entries derivable from this single run (rules in module doc)."""
+    verdicts: dict[str, str] = {}
+    if report.flood_sent:
+        dh = report.principal_counters[responder]["dh_ops"]
+        verdicts["dos_prevention"] = SUPPORTED if dh == 0 else NOT_SUPPORTED
+    if report.established:
+        if has_none_observer:
+            verdicts["cert_sig_protection"] = (
+                NOT_SUPPORTED if _findings_with(report, ("CERT", "SIG"))
+                else SUPPORTED)
+        backends = {b for b in report.sign_backends.values() if b is not None}
+        verdicts["certificate_storage"] = (
+            "device" if backends == {"device"} else "file")
+    return verdicts
+
+
+def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
+    """Derive one Table-row verdict map from a full scenario battery."""
+    by_name: dict[str, ScenarioReport] = {}
+    for report in reports:
+        by_name.setdefault(report.scenario, report)
+    missing = [name for name in MATRIX_SCENARIOS if name not in by_name]
+    if missing:
+        raise IncompleteTrace(f"missing scenarios: {', '.join(missing)}")
+    honest = by_name["honest"]
+    flood = by_name["flood"]
+    tampers = (by_name["tamper-sa"], by_name["tamper-ke"])
+
+    tamper_caught_early = all(
+        report.established is False and report.total_sig_verifies() == 0
+        for report in tampers)
+    observer_blind_sa_ke = not _findings_with(honest, ("SA", "KE"))
+
+    return {
+        "sa_ke_protection": (
+            SUPPORTED if tamper_caught_early and observer_blind_sa_ke
+            else NOT_SUPPORTED),
+        "cert_sig_protection": (
+            NOT_SUPPORTED if _findings_with(honest, ("CERT", "SIG"))
+            else SUPPORTED),
+        "dos_prevention": flood.verdicts.get("dos_prevention", NOT_SUPPORTED),
+        "certificate_storage": honest.verdicts.get("certificate_storage",
+                                                   "file"),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The fixed battery behind the comparison matrix
+# ---------------------------------------------------------------------------
+
+def battery_configs(variant: Variant, seed: int,
+                    disable_dos_gate: bool = False) -> list[ScenarioConfig]:
+    principals = (PrincipalConfig("alice", Role.INITIATOR),
+                  PrincipalConfig("bob", Role.RESPONDER))
+
+    def cfg(name: str, adversary: tuple[Action, ...],
+            handshake: bool = True) -> ScenarioConfig:
+        return ScenarioConfig(name=name, variant=variant, seed=seed,
+                              principals=principals, adversary=adversary,
+                              handshake=handshake,
+                              disable_dos_gate=disable_dos_gate)
+
+    return [
+        cfg("honest", (Observe(ObserverKnowledge.NONE),)),
+        cfg("flood", (Flood(count=FLOOD_COUNT),), handshake=False),
+        cfg("tamper-sa", (Tamper(message=1, payload="SA"),)),
+        cfg("tamper-ke", (Tamper(message=1, payload="KE"),)),
+    ]
+
+
+def run_matrix(seed: int, disable_dos_gate: bool = False) -> dict:
+    """Run the full battery for both variants; the one-command reproduction."""
+    result: dict = {}
+    for variant in (Variant.BASELINE, Variant.IMPROVED):
+        reports = [run_scenario(cfg) for cfg in
+                   battery_configs(variant, seed, disable_dos_gate)]
+        verdicts = verdicts_from_trace(reports)
+        result[variant.value] = {
+            "reports": reports,
+            "verdicts": verdicts,
+            "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value],
+        }
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Optional UDP loopback bridge
+# ---------------------------------------------------------------------------
+
+def run_handshake_udp(variant: Variant, seed: int,
+                      no_token: frozenset[str] = frozenset(),
+                      host: str = "127.0.0.1", timeout: float = 5.0) -> dict:
+    """Drive one handshake over real loopback datagrams.
+
+    Same wire bytes as the in-memory medium; adversary actions are not
+    available in this mode.
+    """
+    deployment = DeploymentConfig(
+        key1=crypto.derive_rng(seed, "deployment-key1").randbytes(32),
+        seed=seed)
+
+    def build(name: str, role: Role) -> HandshakeSession:
+        serial = crypto.derive_rng(
+            seed, f"device-serial|{name}").randbytes(crypto.SERIAL_LEN)
+        token = None
+        if variant is Variant.IMPROVED and name not in no_token:
+            token = create_token(serial, deployment, name)
+        return HandshakeSession(
+            role=role, variant=variant, name=name,
+            rng=crypto.derive_rng(seed, f"session|{name}|0"),
+            token=token,
+            file_identity=make_file_identity(
+                name, crypto.derive_rng(seed,
+                                        f"file-identity|{name}").randbytes(32)),
+            replay_guard=ReplayGuard() if role is Role.RESPONDER else None)
+
+    ini = build("alice", Role.INITIATOR)
+    rsp = build("bob", Role.RESPONDER)
+    sizes: list[int] = []
+    rsp_error: list[str] = []
+
+    rsp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    ini_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        rsp_sock.bind((host, 0))
+        ini_sock.bind((host, 0))
+        rsp_sock.settimeout(timeout)
+        ini_sock.settimeout(timeout)
+        rsp_addr = rsp_sock.getsockname()
+
+        def responder_loop() -> None:
+            try:
+                data, addr = rsp_sock.recvfrom(65535)
+                reply = rsp_session_step(data)
+                if reply is None:
+                    return
+                rsp_sock.sendto(reply, addr)
+                data, _ = rsp_sock.recvfrom(65535)
+                rsp.responder_on_msg3(codec.decode_message(data))
+            except (OSError, CodecError, DeviceAbsent) as exc:
+                rsp_error.append(str(exc))
+
+        def rsp_session_step(data: bytes) -> bytes | None:
+            reply = rsp.responder_on_msg1(codec.decode_message(data))
+            return None if reply is None else codec.encode_message(reply)
+
+        thread = threading.Thread(target=responder_loop, daemon=True)
+        thread.start()
+        try:
+            msg1 = ini.initiator_start()
+        except DeviceAbsent:
+            msg1 = None
+        if msg1 is not None:
+            wire1 = codec.encode_message(msg1)
+            sizes.append(len(wire1))
+            ini_sock.sendto(wire1, rsp_addr)
+            try:
+                data, _ = ini_sock.recvfrom(65535)
+            except socket.timeout:
+                data = None
+            if data is not None:
+                sizes.append(len(data))
+                msg3 = ini.initiator_on_msg2(codec.decode_message(data))
+                if msg3 is not None:
+                    wire3 = codec.encode_message(msg3)
+                    sizes.append(len(wire3))
+                    ini_sock.sendto(wire3, rsp_addr)
+        thread.join(timeout)
+    finally:
+        rsp_sock.close()
+        ini_sock.close()
+
+    established = (ini.state is SessionState.ESTABLISHED
+                   and rsp.state is SessionState.ESTABLISHED)
+    return {
+        "transport": "udp",
+        "variant": variant.value,
+        "established": established,
+        "skeyid_match": established and ini.skeyid == rsp.skeyid,
+        "message_sizes": sizes,
+        "initiator_failure": ini.failure,
+        "responder_failure": rsp.failure or (rsp_error[0] if rsp_error else None),
+    }

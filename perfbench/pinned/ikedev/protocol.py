@@ -1,0 +1,613 @@
+"""Phase-1 aggressive-mode state machines, instrumented.
+
+Two variants share one session class:
+
+* ``BASELINE`` — the plain three-message ladder.  Everything travels in
+  clear text; peers authenticate with signatures over the standard
+  HASH_I / HASH_R digests at the end of the exchange.
+* ``IMPROVED`` — the same ladder gated by a security key device.  Message 1
+  opens with a DEV payload (the sender's 7-byte serial sealed under the
+  fleet key), the SA/KE/nonce/ID chain rides inside one AEAD blob keyed
+  from (key1, serial), and CERT/SIG bodies are sealed under a key derived
+  from the sender's serial.  The responder performs no Diffie-Hellman work
+  until the DEV payload authenticates (the DoS gate).
+
+Counters record the externally observable costs the two variants are
+compared on: ``dh_ops`` counts DH episodes (one per ladder step that does
+modular exponentiation), ``sig_verifies`` counts signature-verification
+attempts over HASH digests, ``decrypt_failures`` counts failed AEAD opens
+and ``messages_rejected_pre_dh`` counts message-1 rejects that cost no DH
+work.  Every transition appends an event so a harness can replay the run.
+
+One deliberate strengthening over the classic HASH_R formula: the SA bytes
+covered by HASH_R are the ones carried in message 2 (the responder's echo),
+not the initiator's stored offer.  For honest peers the two are identical;
+for a tampered echo this makes the mismatch visible at signature
+verification instead of leaving the echo entirely unauthenticated.
+"""
+
+from __future__ import annotations
+
+import random
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from enum import Enum
+
+from . import codec, crypto
+from .codec import (
+    CertBody,
+    DevBody,
+    IdBody,
+    IsakmpMessage,
+    KeBody,
+    NonceBody,
+    PayloadType,
+    SaBody,
+    SigBody,
+)
+from .errors import (
+    AuthFailure,
+    CodecError,
+    DeviceAbsent,
+    MalformedCiphertext,
+    WeakPublicValue,
+)
+from .usbkey import (
+    FileIdentity,
+    KeySelector,
+    SecurityToken,
+    decode_certificate,
+    device_decrypt,
+    device_encrypt,
+    device_get_certificate,
+    device_session_decrypt,
+    device_session_encrypt,
+    device_sign,
+    verify_certificate,
+)
+
+ID_TYPE_FQDN = 2
+NONCE_LEN = 16
+COOKIE_LEN = 8
+CERT_ENCODING_CLEAR = 4     # certificate bytes as-is
+CERT_ENCODING_SEALED = 200  # body is an AEAD blob of the certificate bytes
+REPLAY_WINDOW = 4096
+
+
+class Variant(Enum):
+    BASELINE = "baseline"
+    IMPROVED = "improved"
+
+
+class Role(Enum):
+    INITIATOR = "initiator"
+    RESPONDER = "responder"
+
+
+class SessionState(Enum):
+    IDLE = "idle"
+    SENT1 = "sent1"
+    SENT2 = "sent2"
+    ESTABLISHED = "established"
+    FAILED = "failed"
+
+
+@dataclass
+class Counters:
+    dh_ops: int = 0
+    sig_verifies: int = 0
+    decrypt_failures: int = 0
+    messages_rejected_pre_dh: int = 0
+
+    def to_dict(self) -> dict[str, int]:
+        return {
+            "dh_ops": self.dh_ops,
+            "sig_verifies": self.sig_verifies,
+            "decrypt_failures": self.decrypt_failures,
+            "messages_rejected_pre_dh": self.messages_rejected_pre_dh,
+        }
+
+    def merge(self, other: "Counters") -> None:
+        self.dh_ops += other.dh_ops
+        self.sig_verifies += other.sig_verifies
+        self.decrypt_failures += other.decrypt_failures
+        self.messages_rejected_pre_dh += other.messages_rejected_pre_dh
+
+
+@dataclass(frozen=True)
+class TransitionEvent:
+    op: str
+    state: str
+    emitted: str | None
+    failure: str | None
+    counters: dict[str, int]
+
+    def to_dict(self) -> dict:
+        return {
+            "op": self.op,
+            "state": self.state,
+            "emitted": self.emitted,
+            "failure": self.failure,
+            "counters": dict(self.counters),
+        }
+
+
+class ReplayGuard:
+    """Bounded LRU set of seen DEV nonces with atomic test-and-insert.
+
+    Shared by all of one responder's sessions; everything else in a session
+    is single-owner.
+    """
+
+    def __init__(self, capacity: int = REPLAY_WINDOW):
+        self.capacity = capacity
+        self._seen: OrderedDict[bytes, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def seen_before(self, nonce: bytes) -> bool:
+        with self._lock:
+            if nonce in self._seen:
+                self._seen.move_to_end(nonce)
+                return True
+            self._seen[nonce] = None
+            if len(self._seen) > self.capacity:
+                self._seen.popitem(last=False)
+            return False
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+
+_LADDER = (PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID)
+
+
+def _ladder_bodies(payloads) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
+    found: dict[PayloadType, object] = {}
+    for payload in payloads:
+        found.setdefault(payload.type, payload.body)
+    if any(ptype not in found for ptype in _LADDER):
+        return None
+    return tuple(found[ptype] for ptype in _LADDER)  # type: ignore[return-value]
+
+
+def _id_bytes(name: str) -> bytes:
+    """ID payload body bytes for a principal name, as covered by the hashes."""
+    return bytes([ID_TYPE_FQDN]) + name.encode()
+
+
+@dataclass
+class HandshakeSession:
+    """Single-owner state machine for one peer of one handshake."""
+
+    role: Role
+    variant: Variant
+    name: str
+    rng: random.Random
+    group: crypto.DhGroup = crypto.DESK_GROUP
+    suite: crypto.AeadSuite = crypto.AES256GCM
+    token: SecurityToken | None = None
+    file_identity: FileIdentity | None = None
+    replay_guard: ReplayGuard | None = None
+    disable_dos_gate: bool = False
+
+    state: SessionState = SessionState.IDLE
+    counters: Counters = field(default_factory=Counters)
+    events: list[TransitionEvent] = field(default_factory=list)
+    failure: str | None = None
+    signature_backend: str | None = None
+    skeyid: crypto.SkeyidBundle | None = None
+    peer_serial: bytes | None = None
+
+    cky_i: bytes = b""
+    cky_r: bytes = b""
+    own_nonce: bytes = b""
+    peer_nonce: bytes = b""
+    own_public: bytes = b""
+    peer_public: bytes = b""
+    _exponent: int = field(default=0, repr=False)
+    _sa_offer: bytes = b""      # SA bytes from message 1
+    _id_i: bytes = b""          # initiator ID body bytes
+    _id_r: bytes = b""          # responder ID body bytes
+    _peer_name: str = ""
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def _record(self, op: str, emitted: str | None = None,
+                failure: str | None = None) -> None:
+        self.events.append(TransitionEvent(
+            op=op, state=self.state.value, emitted=emitted, failure=failure,
+            counters=self.counters.to_dict()))
+
+    def _fail(self, op: str, step: str) -> None:
+        self.state = SessionState.FAILED
+        self.failure = step
+        self._record(op, failure=step)
+
+    def _reject(self, op: str, reason: str, pre_dh: bool) -> None:
+        """Responder drop of a bad message 1: no state change, no reply."""
+        if pre_dh:
+            self.counters.messages_rejected_pre_dh += 1
+        self._record(op, failure=reason)
+
+    def _own_certificate(self) -> tuple[bytes, str]:
+        if self.variant is Variant.IMPROVED:
+            return device_get_certificate(self.token).encoded, "device"
+        if self.file_identity is None:
+            raise DeviceAbsent(f"{self.name} has no file identity")
+        return self.file_identity.certificate.encoded, "file"
+
+    def _sign(self, digest: bytes) -> bytes:
+        if self.variant is Variant.IMPROVED:
+            self.signature_backend = "device"
+            return device_sign(self.token, digest)
+        if self.file_identity is None:
+            raise DeviceAbsent(f"{self.name} has no file identity")
+        self.signature_backend = "file"
+        return crypto.sign(self.file_identity.private_key, digest)
+
+    def _require_token(self, op: str) -> None:
+        if self.variant is Variant.IMPROVED and self.token is None:
+            self._fail(op, "no device")
+            raise DeviceAbsent(f"{self.name} has no security key device")
+
+    def _check_peer_certificate(self, encoded: bytes,
+                                peer_id: IdBody) -> object | None:
+        """Decode and vet the peer certificate; None means reject."""
+        try:
+            cert = decode_certificate(encoded)
+        except CodecError:
+            return None
+        if not verify_certificate(cert):
+            return None
+        if cert.subject.encode() != peer_id.identity:
+            return None
+        if self.variant is Variant.IMPROVED and cert.serial_binding != self.peer_serial:
+            return None
+        return cert
+
+    # -- ladder steps ---------------------------------------------------------
+
+    def initiator_start(self) -> IsakmpMessage | None:
+        op = "initiator_start"
+        if self.role is not Role.INITIATOR or self.state is not SessionState.IDLE:
+            self._fail(op, "out-of-order")
+            return None
+        self._require_token(op)
+
+        self.cky_i = self.rng.randbytes(COOKIE_LEN)
+        self.cky_r = bytes(COOKIE_LEN)
+        self.counters.dh_ops += 1
+        self._exponent, self.own_public = crypto.dh_keypair(self.group, self.rng)
+        self.own_nonce = self.rng.randbytes(NONCE_LEN)
+        self._sa_offer = codec.DEFAULT_SA_PROPOSAL
+        self._id_i = _id_bytes(self.name)
+
+        bodies = [
+            SaBody(self._sa_offer),
+            KeBody(self.own_public),
+            NonceBody(self.own_nonce),
+            IdBody(ID_TYPE_FQDN, self.name.encode()),
+        ]
+        if self.variant is Variant.BASELINE:
+            msg = codec.build_message(self.cky_i, self.cky_r, bodies)
+        else:
+            dev = DevBody.from_sealed(
+                device_encrypt(self.token, KeySelector.KEY1, self.token.serial))
+            blob = device_session_encrypt(
+                self.token, self.token.serial,
+                codec.serialize_payload_chain(codec.link_payloads(bodies)))
+            msg = codec.build_message(self.cky_i, self.cky_r, [dev],
+                                      flags=codec.FLAG_ENCRYPTION,
+                                      encrypted_chain=blob)
+        self.state = SessionState.SENT1
+        self._record(op, emitted="msg1")
+        return msg
+
+    def responder_on_msg1(self, msg: IsakmpMessage) -> IsakmpMessage | None:
+        op = "responder_on_msg1"
+        if self.role is not Role.RESPONDER:
+            self._fail(op, "out-of-order")
+            return None
+        if self.state is not SessionState.IDLE:
+            self._fail(op, "out-of-order")
+            return None
+        self._require_token(op)
+        self.cky_i = msg.header.initiator_cookie
+
+        if self.variant is Variant.IMPROVED:
+            if self.disable_dos_gate:
+                # Regression mode: pay for the DH keypair before the gate,
+                # the way the baseline does.
+                self.counters.dh_ops += 1
+                self._exponent, self.own_public = crypto.dh_keypair(
+                    self.group, self.rng)
+            serial = self._pass_dev_gate(op, msg,
+                                         pre_dh=not self.disable_dos_gate)
+            if serial is None:
+                return None
+            self.peer_serial = serial
+            pre_dh = not self.disable_dos_gate
+            if msg.encrypted_chain is None:
+                self._reject(op, "malformed", pre_dh)
+                return None
+            try:
+                plain = device_session_decrypt(self.token, serial,
+                                               msg.encrypted_chain)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._reject(op, "bad-chain", pre_dh)
+                return None
+            try:
+                payloads = codec.parse_payload_chain(plain)
+            except CodecError:
+                self._reject(op, "malformed", pre_dh)
+                return None
+        else:
+            payloads = msg.payloads
+
+        ladder = _ladder_bodies(payloads)
+        if ladder is None:
+            self._reject(op, "malformed",
+                         pre_dh=self.counters.dh_ops == 0)
+            return None
+        sa, ke, nonce, peer_id = ladder
+
+        if not self._exponent:
+            self.counters.dh_ops += 1
+            self._exponent, self.own_public = crypto.dh_keypair(self.group,
+                                                                self.rng)
+        try:
+            shared = crypto.dh_shared(self.group, self._exponent,
+                                      ke.public_value)
+        except WeakPublicValue:
+            self._reject(op, "weak-ke", pre_dh=False)
+            return None
+
+        self.cky_r = self.rng.randbytes(COOKIE_LEN)
+        self.own_nonce = self.rng.randbytes(NONCE_LEN)
+        self.peer_nonce = nonce.nonce
+        self.peer_public = ke.public_value
+        self._sa_offer = sa.proposal
+        self._id_i = bytes([peer_id.id_type]) + peer_id.identity
+        self._id_r = _id_bytes(self.name)
+        self._peer_name = peer_id.identity.decode(errors="replace")
+        self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
+                                           shared, self.cky_i, self.cky_r)
+
+        sa_echo = sa.proposal
+        hash_r = crypto.compute_hash_r(self.skeyid.skeyid, self.own_public,
+                                       self.peer_public, self.cky_r,
+                                       self.cky_i, sa_echo, self._id_r)
+        signature = self._sign(hash_r)
+        cert_encoded, _ = self._own_certificate()
+
+        bodies = [
+            SaBody(sa_echo),
+            KeBody(self.own_public),
+            NonceBody(self.own_nonce),
+            IdBody(ID_TYPE_FQDN, self.name.encode()),
+        ]
+        if self.variant is Variant.BASELINE:
+            reply = codec.build_message(
+                self.cky_i, self.cky_r,
+                bodies + [CertBody(CERT_ENCODING_CLEAR, cert_encoded),
+                          SigBody(signature)])
+        else:
+            dev = DevBody.from_sealed(
+                device_encrypt(self.token, KeySelector.KEY1, self.token.serial))
+            serial_key = crypto.kdf_serial(self.token.serial)
+            clear = [
+                dev,
+                CertBody(CERT_ENCODING_SEALED,
+                         crypto.seal(self.suite, serial_key, self.rng,
+                                     cert_encoded)),
+                SigBody(crypto.seal(self.suite, serial_key, self.rng,
+                                    signature)),
+            ]
+            blob = device_session_encrypt(
+                self.token, self.token.serial,
+                codec.serialize_payload_chain(codec.link_payloads(bodies)))
+            reply = codec.build_message(self.cky_i, self.cky_r, clear,
+                                        flags=codec.FLAG_ENCRYPTION,
+                                        encrypted_chain=blob)
+        self.state = SessionState.SENT2
+        self._record(op, emitted="msg2")
+        return reply
+
+    def _pass_dev_gate(self, op: str, msg: IsakmpMessage,
+                       pre_dh: bool) -> bytes | None:
+        """Authenticate the DEV payload under key1; None means rejected."""
+        dev = msg.first(PayloadType.DEV)
+        if dev is None:
+            self._reject(op, "no-dev", pre_dh)
+            return None
+        try:
+            serial = device_decrypt(self.token, KeySelector.KEY1, dev.sealed)
+        except (AuthFailure, MalformedCiphertext):
+            self.counters.decrypt_failures += 1
+            self._reject(op, "bad-dev", pre_dh)
+            return None
+        if len(serial) != crypto.SERIAL_LEN:
+            self._reject(op, "bad-dev", pre_dh)
+            return None
+        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
+            self._reject(op, "replay", pre_dh)
+            return None
+        return serial
+
+    def initiator_on_msg2(self, msg: IsakmpMessage) -> IsakmpMessage | None:
+        op = "initiator_on_msg2"
+        if self.role is not Role.INITIATOR or self.state is not SessionState.SENT1:
+            self._fail(op, "out-of-order")
+            return None
+        self.cky_r = msg.header.responder_cookie
+
+        if self.variant is Variant.IMPROVED:
+            dev = msg.first(PayloadType.DEV)
+            if dev is None:
+                self._fail(op, "umr")
+                return None
+            try:
+                serial = device_decrypt(self.token, KeySelector.KEY1,
+                                        dev.sealed)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "umr")
+                return None
+            if len(serial) != crypto.SERIAL_LEN:
+                self._fail(op, "umr")
+                return None
+            self.peer_serial = serial
+            if msg.encrypted_chain is None:
+                self._fail(op, "chain")
+                return None
+            try:
+                plain = device_session_decrypt(self.token, serial,
+                                               msg.encrypted_chain)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "chain")
+                return None
+            try:
+                payloads = codec.parse_payload_chain(plain)
+            except CodecError:
+                self._fail(op, "chain")
+                return None
+        else:
+            payloads = msg.payloads
+
+        ladder = _ladder_bodies(payloads)
+        if ladder is None:
+            self._fail(op, "malformed")
+            return None
+        sa, ke, nonce, peer_id = ladder
+
+        cert_body = msg.first(PayloadType.CERT)
+        sig_body = msg.first(PayloadType.SIG)
+        if cert_body is None:
+            self._fail(op, "cert")
+            return None
+        if sig_body is None:
+            self._fail(op, "sig-decrypt")
+            return None
+
+        if self.variant is Variant.IMPROVED:
+            serial_key = crypto.kdf_serial(self.peer_serial)
+            try:
+                cert_encoded = crypto.open_sealed(self.suite, serial_key,
+                                                  cert_body.certificate)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "cert")
+                return None
+            try:
+                signature = crypto.open_sealed(self.suite, serial_key,
+                                               sig_body.signature)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "sig-decrypt")
+                return None
+        else:
+            cert_encoded = cert_body.certificate
+            signature = sig_body.signature
+
+        cert = self._check_peer_certificate(cert_encoded, peer_id)
+        if cert is None:
+            self._fail(op, "cert")
+            return None
+
+        self.peer_nonce = nonce.nonce
+        self.peer_public = ke.public_value
+        self._id_r = bytes([peer_id.id_type]) + peer_id.identity
+        self._peer_name = peer_id.identity.decode(errors="replace")
+
+        self.counters.dh_ops += 1
+        try:
+            shared = crypto.dh_shared(self.group, self._exponent,
+                                      self.peer_public)
+        except WeakPublicValue:
+            self._fail(op, "ke")
+            return None
+        skeyid = crypto.derive_skeyid(self.own_nonce, self.peer_nonce, shared,
+                                      self.cky_i, self.cky_r)
+        hash_r = crypto.compute_hash_r(skeyid.skeyid, self.peer_public,
+                                       self.own_public, self.cky_r, self.cky_i,
+                                       sa.proposal, self._id_r)
+        self.counters.sig_verifies += 1
+        if not crypto.verify(cert.public_key, hash_r, signature):
+            self._fail(op, "sig-verify")
+            return None
+        self.skeyid = skeyid
+
+        hash_i = crypto.compute_hash_i(skeyid.skeyid, self.own_public,
+                                       self.peer_public, self.cky_i,
+                                       self.cky_r, self._sa_offer, self._id_i)
+        own_sig = self._sign(hash_i)
+        cert_encoded, _ = self._own_certificate()
+        if self.variant is Variant.BASELINE:
+            reply = codec.build_message(
+                self.cky_i, self.cky_r,
+                [CertBody(CERT_ENCODING_CLEAR, cert_encoded),
+                 SigBody(own_sig)])
+        else:
+            own_key = crypto.kdf_serial(self.token.serial)
+            reply = codec.build_message(
+                self.cky_i, self.cky_r,
+                [CertBody(CERT_ENCODING_SEALED,
+                          crypto.seal(self.suite, own_key, self.rng,
+                                      cert_encoded)),
+                 SigBody(crypto.seal(self.suite, own_key, self.rng, own_sig))],
+                flags=codec.FLAG_ENCRYPTION)
+        self.state = SessionState.ESTABLISHED
+        self._record(op, emitted="msg3")
+        return reply
+
+    def responder_on_msg3(self, msg: IsakmpMessage) -> bool:
+        op = "responder_on_msg3"
+        if self.role is not Role.RESPONDER or self.state is not SessionState.SENT2:
+            self._fail(op, "out-of-order")
+            return False
+
+        cert_body = msg.first(PayloadType.CERT)
+        sig_body = msg.first(PayloadType.SIG)
+        if cert_body is None or sig_body is None:
+            self._fail(op, "malformed")
+            return False
+
+        if self.variant is Variant.IMPROVED:
+            serial_key = crypto.kdf_serial(self.peer_serial)
+            try:
+                cert_encoded = crypto.open_sealed(self.suite, serial_key,
+                                                  cert_body.certificate)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "cert")
+                return False
+            try:
+                signature = crypto.open_sealed(self.suite, serial_key,
+                                               sig_body.signature)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                self._fail(op, "sig-decrypt")
+                return False
+        else:
+            cert_encoded = cert_body.certificate
+            signature = sig_body.signature
+
+        peer_id = IdBody(self._id_i[0], self._id_i[1:])
+        cert = self._check_peer_certificate(cert_encoded, peer_id)
+        if cert is None:
+            self._fail(op, "cert")
+            return False
+
+        hash_i = crypto.compute_hash_i(self.skeyid.skeyid, self.peer_public,
+                                       self.own_public, self.cky_i, self.cky_r,
+                                       self._sa_offer, self._id_i)
+        self.counters.sig_verifies += 1
+        if not crypto.verify(cert.public_key, hash_i, signature):
+            self._fail(op, "sig-verify")
+            return False
+        self.state = SessionState.ESTABLISHED
+        self._record(op)
+        return True

@@ -1,0 +1,294 @@
+"""Emulated computer-security USB key device.
+
+The device owns a unique 7-byte serial, the fleet-wide secret ``key1``, a
+signing keypair and a certificate.  Secret material never crosses the
+device boundary: callers get ciphertext, plaintext, signatures or the
+certificate, never key bytes.  Memory is partitioned into regions with a
+fixed host-access policy (manager regions are sealed, the virtual CD is
+read-only, the user region is read-write).
+
+Module-level ``device_*`` functions accept ``None`` for principals that
+carry no device and raise :class:`~ikedev.errors.DeviceAbsent`, which is
+how a negotiation stop on a missing device is modelled.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+from dataclasses import dataclass, field
+from enum import Enum
+
+from . import crypto
+from .errors import (
+    AuthFailure,
+    BadLength,
+    DeviceAbsent,
+    InvalidSerialLength,
+    MalformedCiphertext,
+    PermissionDenied,
+)
+
+SERIAL_LEN = crypto.SERIAL_LEN
+
+VIRTUAL_CD_IMAGE = b"IKEDEV-VCD\x00utility image placeholder"
+
+_CIPHER_REGION_IDS = {"aes256gcm": 1}
+
+
+class RegionId(Enum):
+    MANAGER_PRIVATE_KEY = "manager_private_key"
+    MANAGER_ALGORITHM = "manager_algorithm"
+    MANAGER_CERTIFICATE = "manager_certificate"
+    VIRTUAL_CD = "virtual_cd"
+    USER_DATA = "user_data"
+
+
+class RegionOp(Enum):
+    READ = "read"
+    WRITE = "write"
+
+
+# (host may read, host may write) per region
+ACCESS_POLICY = {
+    RegionId.MANAGER_PRIVATE_KEY: (False, False),
+    RegionId.MANAGER_ALGORITHM: (False, False),
+    RegionId.MANAGER_CERTIFICATE: (False, False),
+    RegionId.VIRTUAL_CD: (True, False),
+    RegionId.USER_DATA: (True, True),
+}
+
+
+class KeySelector(Enum):
+    KEY1 = "key1"
+    OWN_SERIAL = "own_serial"
+    PEER_SERIAL = "peer_serial"
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+# ---------------------------------------------------------------------------
+
+CERT_VERSION = 1
+NO_SERIAL_BINDING = b"\x00" * SERIAL_LEN
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Self-contained signing certificate, optionally bound to a device serial."""
+
+    subject: str
+    public_key: bytes
+    serial_binding: bytes
+    encoded: bytes
+
+
+def make_certificate(subject: str, serial_binding: bytes,
+                     private_key: bytes, public_key: bytes) -> Certificate:
+    subject_b = subject.encode()
+    if len(subject_b) > 255:
+        raise ValueError("subject too long")
+    body = struct.pack("!BB", CERT_VERSION, len(subject_b)) + subject_b
+    body += serial_binding + public_key
+    encoded = body + crypto.sign(private_key, body)
+    return Certificate(subject, public_key, serial_binding, encoded)
+
+
+def decode_certificate(data: bytes) -> Certificate:
+    if len(data) < 2:
+        raise BadLength("certificate too short", 0)
+    version, subject_len = struct.unpack_from("!BB", data)
+    if version != CERT_VERSION:
+        raise BadLength(f"unsupported certificate version {version}", 0)
+    end = 2 + subject_len + SERIAL_LEN + crypto.PUBLIC_KEY_LEN
+    if len(data) != end + crypto.SIGNATURE_LEN:
+        raise BadLength("certificate length mismatch", len(data))
+    subject = data[2:2 + subject_len].decode(errors="replace")
+    serial = data[2 + subject_len:2 + subject_len + SERIAL_LEN]
+    public_key = data[2 + subject_len + SERIAL_LEN:end]
+    return Certificate(subject, public_key, serial, data)
+
+
+def verify_certificate(cert: Certificate) -> bool:
+    """Check the certificate's self-signature (single-cert model, no chains)."""
+    body = cert.encoded[:-crypto.SIGNATURE_LEN]
+    return crypto.verify(cert.public_key, body, cert.encoded[-crypto.SIGNATURE_LEN:])
+
+
+@dataclass(frozen=True)
+class FileIdentity:
+    """Key material held as plain host-readable bytes (a *.p12-style file).
+
+    This is the baseline's storage model: the private key sits outside any
+    device and is available to whatever can read the file.
+    """
+
+    certificate: Certificate
+    private_key: bytes
+
+
+def make_file_identity(subject: str, seed: bytes) -> FileIdentity:
+    private, public = crypto.signature_keypair(seed)
+    cert = make_certificate(subject, NO_SERIAL_BINDING, private, public)
+    return FileIdentity(cert, private)
+
+
+# ---------------------------------------------------------------------------
+# Deployment and the device itself
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeploymentConfig:
+    """Fleet-wide device provisioning: shared key1 and primitive choices."""
+
+    key1: bytes
+    cipher: str = "aes256gcm"
+    signature_scheme: str = "ed25519"
+    seed: int = 0
+
+    def __post_init__(self):
+        suite = crypto.get_cipher(self.cipher)
+        if len(self.key1) != suite.key_size:
+            raise ValueError(
+                f"key1 must be {suite.key_size} bytes for {self.cipher}")
+        if self.signature_scheme != crypto.SIGNATURE_ID:
+            raise ValueError(f"unknown signature scheme {self.signature_scheme!r}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "DeploymentConfig":
+        return cls(
+            key1=bytes.fromhex(raw["key1_hex"]),
+            cipher=raw.get("cipher", "aes256gcm"),
+            signature_scheme=raw.get("signature_scheme", "ed25519"),
+            seed=int(raw.get("seed", 0)),
+        )
+
+
+@dataclass
+class SecurityToken:
+    serial: bytes
+    certificate: Certificate
+    _key1: bytes = field(repr=False)
+    _private_key: bytes = field(repr=False)
+    _suite: crypto.AeadSuite = field(repr=False)
+    _rng: object = field(repr=False)
+    _regions: dict = field(repr=False)
+
+    def _key_for(self, selector: KeySelector, peer_serial: bytes | None) -> bytes:
+        if selector is KeySelector.KEY1:
+            return self._key1
+        if selector is KeySelector.OWN_SERIAL:
+            return crypto.kdf_serial(self.serial)
+        if selector is KeySelector.PEER_SERIAL:
+            if peer_serial is None:
+                raise ValueError("peer_serial required for PEER_SERIAL selector")
+            return crypto.kdf_serial(peer_serial)
+        raise ValueError(f"unsupported selector {selector}")
+
+
+def create_token(serial: bytes, deployment: DeploymentConfig,
+                 subject: str) -> SecurityToken:
+    """Provision one device: fresh keypair, self-contained certificate,
+    regions initialised per the access-policy table."""
+    if len(serial) != SERIAL_LEN:
+        raise InvalidSerialLength(
+            f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
+    suite = crypto.get_cipher(deployment.cipher)
+    keygen_seed = hashlib.sha256(
+        b"ikedev/token-keygen|%d|" % deployment.seed + serial).digest()
+    private, public = crypto.signature_keypair(keygen_seed)
+    cert = make_certificate(subject, serial, private, public)
+    regions = {
+        RegionId.MANAGER_PRIVATE_KEY: private + serial,
+        RegionId.MANAGER_ALGORITHM: bytes([_CIPHER_REGION_IDS[deployment.cipher]]),
+        RegionId.MANAGER_CERTIFICATE: cert.encoded,
+        RegionId.VIRTUAL_CD: VIRTUAL_CD_IMAGE,
+        RegionId.USER_DATA: b"",
+    }
+    rng = crypto.derive_rng(deployment.seed, f"token-nonce|{serial.hex()}")
+    return SecurityToken(
+        serial=serial, certificate=cert, _key1=deployment.key1,
+        _private_key=private, _suite=suite, _rng=rng, _regions=regions)
+
+
+def _require(token: SecurityToken | None) -> SecurityToken:
+    if token is None:
+        raise DeviceAbsent("no security key device attached")
+    return token
+
+
+# ---------------------------------------------------------------------------
+# On-device operations
+# ---------------------------------------------------------------------------
+
+def device_get_serial(token: SecurityToken | None) -> bytes:
+    return _require(token).serial
+
+
+def device_get_certificate(token: SecurityToken | None) -> Certificate:
+    return _require(token).certificate
+
+
+def device_encrypt(token: SecurityToken | None, key_sel: KeySelector,
+                   plaintext: bytes) -> bytes:
+    """Seal ``plaintext`` under key1 or the device's own serial key."""
+    token = _require(token)
+    if key_sel not in (KeySelector.KEY1, KeySelector.OWN_SERIAL):
+        raise ValueError("device_encrypt accepts KEY1 or OWN_SERIAL")
+    if not plaintext:
+        raise ValueError("plaintext must be non-empty")
+    key = token._key_for(key_sel, None)
+    return crypto.seal(token._suite, key, token._rng, plaintext)
+
+
+def device_decrypt(token: SecurityToken | None, key_sel: KeySelector,
+                   ciphertext: bytes, peer_serial: bytes | None = None) -> bytes:
+    """Open a sealed blob; tag failure means the sender is not legitimate."""
+    token = _require(token)
+    if key_sel not in (KeySelector.KEY1, KeySelector.PEER_SERIAL):
+        raise ValueError("device_decrypt accepts KEY1 or PEER_SERIAL")
+    key = token._key_for(key_sel, peer_serial)
+    return crypto.open_sealed(token._suite, key, ciphertext)
+
+
+def device_session_encrypt(token: SecurityToken | None, serial: bytes,
+                           plaintext: bytes) -> bytes:
+    """Seal under the kdf_session(key1, serial) chain key.
+
+    Computed on-device so key1 never leaves; ``serial`` is the sender's
+    serial as carried in the same message's device payload.
+    """
+    token = _require(token)
+    key = crypto.kdf_session(token._key1, serial)
+    return crypto.seal(token._suite, key, token._rng, plaintext)
+
+
+def device_session_decrypt(token: SecurityToken | None, serial: bytes,
+                           blob: bytes) -> bytes:
+    token = _require(token)
+    key = crypto.kdf_session(token._key1, serial)
+    return crypto.open_sealed(token._suite, key, blob)
+
+
+def device_sign(token: SecurityToken | None, data: bytes) -> bytes:
+    token = _require(token)
+    if not data:
+        raise ValueError("data must be non-empty")
+    return crypto.sign(token._private_key, data)
+
+
+def region_access(token: SecurityToken | None, region: RegionId, op: RegionOp,
+                  data: bytes | None = None) -> bytes | None:
+    """Host access to device memory, gated by the fixed policy table."""
+    token = _require(token)
+    may_read, may_write = ACCESS_POLICY[region]
+    if op is RegionOp.READ:
+        if not may_read:
+            raise PermissionDenied(f"read denied on {region.value}")
+        return token._regions[region]
+    if op is RegionOp.WRITE:
+        if not may_write:
+            raise PermissionDenied(f"write denied on {region.value}")
+        token._regions[region] = bytes(data or b"")
+        return None
+    raise ValueError(f"unsupported region op {op}")
