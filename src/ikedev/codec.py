@@ -366,15 +366,17 @@ def build_message(initiator_cookie: bytes, responder_cookie: bytes,
                   bodies: list[Body], *, flags: int = 0, message_id: int = 0,
                   encrypted_chain: bytes | None = None) -> IsakmpMessage:
     """Assemble a message with links and header length finalized."""
+    if encrypted_chain is not None and not flags & FLAG_ENCRYPTION:
+        raise ChainMismatch("encrypted chain present without encryption flag")
     payloads = link_payloads(bodies)
+    length = HEADER_LEN + len(encrypted_chain or b"") + sum(
+        GENERIC_HEADER_LEN + len(_encode_body(body)) for body in bodies)
     header = IsakmpHeader(
         initiator_cookie=initiator_cookie, responder_cookie=responder_cookie,
         next_payload=int(payloads[0].type) if payloads else 0, flags=flags,
-        message_id=message_id)
-    msg = IsakmpMessage(header=header, payloads=payloads,
-                        encrypted_chain=encrypted_chain)
-    header.length = len(encode_message(msg))
-    return msg
+        message_id=message_id, length=length)
+    return IsakmpMessage(header=header, payloads=payloads,
+                         encrypted_chain=encrypted_chain)
 
 
 # ---------------------------------------------------------------------------

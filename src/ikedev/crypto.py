@@ -222,16 +222,21 @@ def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
 # Signatures
 # ---------------------------------------------------------------------------
 
-def signature_keypair(seed: bytes) -> tuple[bytes, bytes]:
-    """Deterministic Ed25519 keypair from 32 seed bytes -> (private, public)."""
+def signature_keypair(seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    """Deterministic Ed25519 keypair from 32 seed bytes -> (private, public).
+
+    The private key is returned as the key object so holders can sign with
+    it repeatedly; its raw bytes are ``seed[:32]``.
+    """
     priv = Ed25519PrivateKey.from_private_bytes(seed[:32])
     pub = priv.public_key().public_bytes(
         encoding=serialization.Encoding.Raw, format=serialization.PublicFormat.Raw)
-    return seed[:32], pub
+    return priv, pub
 
 
-def sign(private_key: bytes, data: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(private_key).sign(data)
+def sign(private_key: Ed25519PrivateKey, data: bytes) -> bytes:
+    """Ed25519 signature; deterministic (RFC 8032 section 5.1.6)."""
+    return private_key.sign(data)
 
 
 def verify(public_key: bytes, data: bytes, signature: bytes) -> bool:

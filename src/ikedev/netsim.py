@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -404,9 +403,20 @@ class Principal:
     name: str
     role: Role
     token: SecurityToken | None
-    file_identity: FileIdentity
+    file_identity: FileIdentity | None
     replay_guard: ReplayGuard | None
     sessions: list[HandshakeSession] = field(default_factory=list)
+
+    def new_session(self, variant: Variant, seed: int,
+                    disable_dos_gate: bool = False) -> HandshakeSession:
+        """Open this principal's next session; its RNG is keyed by ordinal."""
+        session = HandshakeSession(
+            role=self.role, variant=variant, name=self.name,
+            rng=crypto.derive_rng(seed, f"session|{self.name}|{len(self.sessions)}"),
+            token=self.token, file_identity=self.file_identity,
+            replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate)
+        self.sessions.append(session)
+        return session
 
     def counters(self) -> Counters:
         total = Counters()
@@ -494,24 +504,44 @@ def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
     return codec.encode_message(msg)
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    seed = config.seed
-    deployment = DeploymentConfig(
+def _deployment(seed: int) -> DeploymentConfig:
+    return DeploymentConfig(
         key1=crypto.derive_rng(seed, "deployment-key1").randbytes(32),
         seed=seed)
-    group = crypto.DESK_GROUP
 
+
+def build_principals(seed: int, variant: Variant,
+                     configs: tuple[PrincipalConfig, ...]) -> dict[str, Principal]:
+    """Provision each principal with what ``variant`` signs with.
+
+    The improved variant gets a security token (unless the config strips
+    it) and the baseline a *.p12-style file identity; neither variant is
+    given the other's key material.  Every key comes from its own
+    ``derive_rng`` label, so what is left out changes nothing else.
+    """
+    deployment = _deployment(seed) if variant is Variant.IMPROVED else None
     principals: dict[str, Principal] = {}
-    for pc in config.principals:
-        serial = crypto.derive_rng(
-            seed, f"device-serial|{pc.name}").randbytes(crypto.SERIAL_LEN)
-        principals[pc.name] = Principal(
-            name=pc.name, role=pc.role,
-            token=create_token(serial, deployment, pc.name) if pc.token else None,
-            file_identity=make_file_identity(
+    for pc in configs:
+        token = file_identity = None
+        if variant is Variant.BASELINE:
+            file_identity = make_file_identity(
                 pc.name,
-                crypto.derive_rng(seed, f"file-identity|{pc.name}").randbytes(32)),
+                crypto.derive_rng(seed, f"file-identity|{pc.name}").randbytes(32))
+        elif pc.token:
+            serial = crypto.derive_rng(
+                seed, f"device-serial|{pc.name}").randbytes(crypto.SERIAL_LEN)
+            token = create_token(serial, deployment, pc.name)
+        principals[pc.name] = Principal(
+            name=pc.name, role=pc.role, token=token,
+            file_identity=file_identity,
             replay_guard=ReplayGuard() if pc.role is Role.RESPONDER else None)
+    return principals
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    seed = config.seed
+    group = crypto.DESK_GROUP
+    principals = build_principals(seed, config.variant, config.principals)
 
     initiator = next((p for p in principals.values()
                       if p.role is Role.INITIATOR), None)
@@ -530,7 +560,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 obs_token = create_token(
                     crypto.derive_rng(seed, "device-serial|observer")
                     .randbytes(crypto.SERIAL_LEN),
-                    deployment, "observer")
+                    _deployment(seed), "observer")
             observers.append(_ObserverState(action.knowledge, obs_token))
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
 
@@ -548,7 +578,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                       "failure": event.failure})
         drained[id(session)] = len(session.events)
 
-    def transmit(wire: bytes, src: str, dst: str, kind: str) -> bytes:
+    def transmit(wire: bytes, src: str, dst: str,
+                 kind: str) -> codec.IsakmpMessage | None:
+        """Carry one datagram to ``dst`` and decode it once, for the log and
+        for ``dst``; a datagram ``dst`` cannot decode is recorded in the
+        failure trace and yields None."""
         index = len(transcript)
         tampered = False
         for action in tampers:
@@ -579,35 +613,23 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             decoded = codec.decode_message(wire)
             payload_names = [p.type.name for p in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
-        except CodecError:
+        except CodecError as exc:
+            decoded = None
             payload_names, blob_bytes = [], 0
+            failure_trace.append({"principal": dst, "op": "decode",
+                                  "failure": f"codec:{type(exc).__name__}"})
         message_log.append({"index": index, "src": src, "dst": dst,
                             "kind": kind, "size": len(wire),
                             "payloads": payload_names,
                             "blob_bytes": blob_bytes,
                             "tampered": tampered, "delivered": True})
-        return wire
+        return decoded
 
-    def fresh_session(principal: Principal) -> HandshakeSession:
-        ordinal = len(principal.sessions)
-        session = HandshakeSession(
-            role=principal.role, variant=config.variant, name=principal.name,
-            rng=crypto.derive_rng(seed, f"session|{principal.name}|{ordinal}"),
-            group=group,
-            token=principal.token if config.variant is Variant.IMPROVED else None,
-            file_identity=principal.file_identity,
-            replay_guard=principal.replay_guard,
-            disable_dos_gate=config.disable_dos_gate)
-        principal.sessions.append(session)
-        return session
-
-    def deliver_to_fresh(principal: Principal, wire: bytes, kind: str) -> None:
-        session = fresh_session(principal)
-        try:
-            msg = codec.decode_message(wire)
-        except CodecError as exc:
-            failure_trace.append({"principal": principal.name, "op": "decode",
-                                  "failure": f"codec:{type(exc).__name__}"})
+    def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
+                         kind: str) -> None:
+        session = principal.new_session(config.variant, seed,
+                                        config.disable_dos_gate)
+        if msg is None:
             return
         try:
             if kind in ("msg1", "flood"):
@@ -629,18 +651,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         for _ in range(action.count):
             wire = _forged_msg1(config.variant, attacker_rng, group,
                                 action.forge_source)
-            wire = transmit(wire, action.forge_source, responder.name, "flood")
-            deliver_to_fresh(responder, wire, "flood")
+            msg = transmit(wire, action.forge_source, responder.name, "flood")
+            deliver_to_fresh(responder, msg, "flood")
             flood_sent += 1
 
     # Phase 2: the honest handshake, if the scenario runs one.
     established: bool | None = None
     skeyid_match: bool | None = None
     if config.handshake:
-        ini_session = fresh_session(initiator)
-        rsp_session = fresh_session(responder)
-        established = False
-        skeyid_match = False
+        ini_session = initiator.new_session(config.variant, seed,
+                                            config.disable_dos_gate)
+        rsp_session = responder.new_session(config.variant, seed,
+                                            config.disable_dos_gate)
         try:
             msg1 = ini_session.initiator_start()
         except DeviceAbsent:
@@ -648,37 +670,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         drain(initiator, ini_session)
         msg2 = None
         if msg1 is not None:
-            wire1 = transmit(codec.encode_message(msg1), initiator.name,
-                             responder.name, "msg1")
-            try:
-                msg2 = rsp_session.responder_on_msg1(codec.decode_message(wire1))
-            except DeviceAbsent:
-                msg2 = None
-            except CodecError as exc:
-                failure_trace.append({"principal": responder.name,
-                                      "op": "decode",
-                                      "failure": f"codec:{type(exc).__name__}"})
+            received = transmit(codec.encode_message(msg1), initiator.name,
+                                responder.name, "msg1")
+            if received is not None:
+                try:
+                    msg2 = rsp_session.responder_on_msg1(received)
+                except DeviceAbsent:
+                    pass
             drain(responder, rsp_session)
         msg3 = None
         if msg2 is not None:
-            wire2 = transmit(codec.encode_message(msg2), responder.name,
-                             initiator.name, "msg2")
-            try:
-                msg3 = ini_session.initiator_on_msg2(codec.decode_message(wire2))
-            except CodecError as exc:
-                failure_trace.append({"principal": initiator.name,
-                                      "op": "decode",
-                                      "failure": f"codec:{type(exc).__name__}"})
+            received = transmit(codec.encode_message(msg2), responder.name,
+                                initiator.name, "msg2")
+            if received is not None:
+                msg3 = ini_session.initiator_on_msg2(received)
             drain(initiator, ini_session)
         if msg3 is not None:
-            wire3 = transmit(codec.encode_message(msg3), initiator.name,
-                             responder.name, "msg3")
-            try:
-                rsp_session.responder_on_msg3(codec.decode_message(wire3))
-            except CodecError as exc:
-                failure_trace.append({"principal": responder.name,
-                                      "op": "decode",
-                                      "failure": f"codec:{type(exc).__name__}"})
+            received = transmit(codec.encode_message(msg3), initiator.name,
+                                responder.name, "msg3")
+            if received is not None:
+                rsp_session.responder_on_msg3(received)
             drain(responder, rsp_session)
         established = (ini_session.state is SessionState.ESTABLISHED
                        and rsp_session.state is SessionState.ESTABLISHED)
@@ -694,10 +705,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 f"replay index {action.message} out of range "
                 f"({len(transcript)} messages captured)")
         wire, _, dst, kind = transcript[action.message]
-        wire = transmit(wire, "adversary", dst, "replay")
-        target = principals[dst]
+        msg = transmit(wire, "adversary", dst, "replay")
         replay_kind = kind if kind != "replay" else "msg1"
-        deliver_to_fresh(target, wire, replay_kind)
+        deliver_to_fresh(principals[dst], msg, replay_kind)
 
     report = ScenarioReport(
         scenario=config.name,
@@ -824,83 +834,44 @@ def run_handshake_udp(variant: Variant, seed: int,
                       host: str = "127.0.0.1", timeout: float = 5.0) -> dict:
     """Drive one handshake over real loopback datagrams.
 
-    Same wire bytes as the in-memory medium; adversary actions are not
-    available in this mode.
+    Same principals and wire bytes as the in-memory medium; adversary
+    actions are not available in this mode.  The two peers take turns in
+    one thread: each datagram is read only after its sender has sent it, so
+    a peer that gives up ends the run at once instead of leaving the other
+    waiting out ``timeout``.
     """
-    deployment = DeploymentConfig(
-        key1=crypto.derive_rng(seed, "deployment-key1").randbytes(32),
-        seed=seed)
-
-    def build(name: str, role: Role) -> HandshakeSession:
-        serial = crypto.derive_rng(
-            seed, f"device-serial|{name}").randbytes(crypto.SERIAL_LEN)
-        token = None
-        if variant is Variant.IMPROVED and name not in no_token:
-            token = create_token(serial, deployment, name)
-        return HandshakeSession(
-            role=role, variant=variant, name=name,
-            rng=crypto.derive_rng(seed, f"session|{name}|0"),
-            token=token,
-            file_identity=make_file_identity(
-                name, crypto.derive_rng(seed,
-                                        f"file-identity|{name}").randbytes(32)),
-            replay_guard=ReplayGuard() if role is Role.RESPONDER else None)
-
-    ini = build("alice", Role.INITIATOR)
-    rsp = build("bob", Role.RESPONDER)
+    principals = build_principals(seed, variant, (
+        PrincipalConfig("alice", Role.INITIATOR, token="alice" not in no_token),
+        PrincipalConfig("bob", Role.RESPONDER, token="bob" not in no_token)))
+    ini = principals["alice"].new_session(variant, seed)
+    rsp = principals["bob"].new_session(variant, seed)
     sizes: list[int] = []
-    rsp_error: list[str] = []
+    errors: dict[str, str] = {}   # receiving side -> transport or codec error
 
-    rsp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    ini_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        rsp_sock.bind((host, 0))
-        ini_sock.bind((host, 0))
-        rsp_sock.settimeout(timeout)
-        ini_sock.settimeout(timeout)
-        rsp_addr = rsp_sock.getsockname()
-
-        def responder_loop() -> None:
-            try:
-                data, addr = rsp_sock.recvfrom(65535)
-                reply = rsp_session_step(data)
-                if reply is None:
-                    return
-                rsp_sock.sendto(reply, addr)
-                data, _ = rsp_sock.recvfrom(65535)
-                rsp.responder_on_msg3(codec.decode_message(data))
-            except (OSError, CodecError, DeviceAbsent) as exc:
-                rsp_error.append(str(exc))
-
-        def rsp_session_step(data: bytes) -> bytes | None:
-            reply = rsp.responder_on_msg1(codec.decode_message(data))
-            return None if reply is None else codec.encode_message(reply)
-
-        thread = threading.Thread(target=responder_loop, daemon=True)
-        thread.start()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as ini_sock, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rsp_sock:
+        for sock in (ini_sock, rsp_sock):
+            sock.bind((host, 0))
+            sock.settimeout(timeout)
         try:
-            msg1 = ini.initiator_start()
+            outgoing = ini.initiator_start()
         except DeviceAbsent:
-            msg1 = None
-        if msg1 is not None:
-            wire1 = codec.encode_message(msg1)
-            sizes.append(len(wire1))
-            ini_sock.sendto(wire1, rsp_addr)
+            outgoing = None
+        for src, dst, side, step in (
+                (ini_sock, rsp_sock, "responder", rsp.responder_on_msg1),
+                (rsp_sock, ini_sock, "initiator", ini.initiator_on_msg2),
+                (ini_sock, rsp_sock, "responder", rsp.responder_on_msg3)):
+            if outgoing is None:
+                break
+            wire = codec.encode_message(outgoing)
+            sizes.append(len(wire))
             try:
-                data, _ = ini_sock.recvfrom(65535)
-            except socket.timeout:
-                data = None
-            if data is not None:
-                sizes.append(len(data))
-                msg3 = ini.initiator_on_msg2(codec.decode_message(data))
-                if msg3 is not None:
-                    wire3 = codec.encode_message(msg3)
-                    sizes.append(len(wire3))
-                    ini_sock.sendto(wire3, rsp_addr)
-        thread.join(timeout)
-    finally:
-        rsp_sock.close()
-        ini_sock.close()
+                src.sendto(wire, dst.getsockname())
+                data, _ = dst.recvfrom(65535)
+                outgoing = step(codec.decode_message(data))
+            except (OSError, CodecError, DeviceAbsent) as exc:
+                errors[side] = str(exc)
+                break
 
     established = (ini.state is SessionState.ESTABLISHED
                    and rsp.state is SessionState.ESTABLISHED)
@@ -910,6 +881,6 @@ def run_handshake_udp(variant: Variant, seed: int,
         "established": established,
         "skeyid_match": established and ini.skeyid == rsp.skeyid,
         "message_sizes": sizes,
-        "initiator_failure": ini.failure,
-        "responder_failure": rsp.failure or (rsp_error[0] if rsp_error else None),
+        "initiator_failure": ini.failure or errors.get("initiator"),
+        "responder_failure": rsp.failure or errors.get("responder"),
     }

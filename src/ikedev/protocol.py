@@ -244,7 +244,7 @@ class HandshakeSession:
         if self.file_identity is None:
             raise DeviceAbsent(f"{self.name} has no file identity")
         self.signature_backend = "file"
-        return crypto.sign(self.file_identity.private_key, digest)
+        return crypto.sign(self.file_identity.signing_key, digest)
 
     def _require_token(self, op: str) -> None:
         if self.variant is Variant.IMPROVED and self.token is None:

@@ -19,6 +19,8 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from . import crypto
 from .errors import (
     AuthFailure,
@@ -84,7 +86,8 @@ class Certificate:
 
 
 def make_certificate(subject: str, serial_binding: bytes,
-                     private_key: bytes, public_key: bytes) -> Certificate:
+                     private_key: Ed25519PrivateKey,
+                     public_key: bytes) -> Certificate:
     subject_b = subject.encode()
     if len(subject_b) > 255:
         raise ValueError("subject too long")
@@ -120,17 +123,19 @@ class FileIdentity:
     """Key material held as plain host-readable bytes (a *.p12-style file).
 
     This is the baseline's storage model: the private key sits outside any
-    device and is available to whatever can read the file.
+    device and is available to whatever can read the file.  ``signing_key``
+    is the same key loaded once for signing.
     """
 
     certificate: Certificate
     private_key: bytes
+    signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
 
 
 def make_file_identity(subject: str, seed: bytes) -> FileIdentity:
-    private, public = crypto.signature_keypair(seed)
-    cert = make_certificate(subject, NO_SERIAL_BINDING, private, public)
-    return FileIdentity(cert, private)
+    signing_key, public = crypto.signature_keypair(seed)
+    cert = make_certificate(subject, NO_SERIAL_BINDING, signing_key, public)
+    return FileIdentity(cert, seed[:32], signing_key)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,7 @@ class SecurityToken:
     certificate: Certificate
     _key1: bytes = field(repr=False)
     _private_key: bytes = field(repr=False)
+    _signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
     _suite: crypto.AeadSuite = field(repr=False)
     _rng: object = field(repr=False)
     _regions: dict = field(repr=False)
@@ -194,10 +200,10 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
         raise InvalidSerialLength(
             f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
     suite = crypto.get_cipher(deployment.cipher)
-    keygen_seed = hashlib.sha256(
+    private = hashlib.sha256(
         b"ikedev/token-keygen|%d|" % deployment.seed + serial).digest()
-    private, public = crypto.signature_keypair(keygen_seed)
-    cert = make_certificate(subject, serial, private, public)
+    signing_key, public = crypto.signature_keypair(private)
+    cert = make_certificate(subject, serial, signing_key, public)
     regions = {
         RegionId.MANAGER_PRIVATE_KEY: private + serial,
         RegionId.MANAGER_ALGORITHM: bytes([_CIPHER_REGION_IDS[deployment.cipher]]),
@@ -208,7 +214,8 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
     rng = crypto.derive_rng(deployment.seed, f"token-nonce|{serial.hex()}")
     return SecurityToken(
         serial=serial, certificate=cert, _key1=deployment.key1,
-        _private_key=private, _suite=suite, _rng=rng, _regions=regions)
+        _private_key=private, _signing_key=signing_key, _suite=suite,
+        _rng=rng, _regions=regions)
 
 
 def _require(token: SecurityToken | None) -> SecurityToken:
@@ -274,7 +281,7 @@ def device_sign(token: SecurityToken | None, data: bytes) -> bytes:
     token = _require(token)
     if not data:
         raise ValueError("data must be non-empty")
-    return crypto.sign(token._private_key, data)
+    return crypto.sign(token._signing_key, data)
 
 
 def region_access(token: SecurityToken | None, region: RegionId, op: RegionOp,

@@ -289,6 +289,12 @@ def test_payload_byte_ranges_cover_bodies_exactly():
     assert ranges[-1].body_end == len(wire)
 
 
+def test_build_message_rejects_blob_without_flag():
+    with pytest.raises(ChainMismatch):
+        codec.build_message(b"A" * 8, b"B" * 8, [SaBody(b"x")],
+                            encrypted_chain=b"\x00" * 33)
+
+
 def test_encrypted_chain_range():
     plain = codec.encode_message(_fixed_msg1())
     assert codec.encrypted_chain_range(plain) is None

@@ -1,6 +1,8 @@
 """Adversarial simulator tests: scripting, observation, verdict derivation."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -57,6 +59,51 @@ def test_report_json_is_canonical():
     assert parsed == report.to_dict()
     assert report.to_json() == json.dumps(
         parsed, sort_keys=True, separators=(",", ":")).encode()
+
+
+# SHA-256 over the concatenated to_json() of the battery for seeds 0-4,
+# baseline then improved, each battery in order.  Recorded before the
+# provisioning and codec speed-ups; any later speed-up must keep it.
+BATTERY_DIGEST = "d9f605889f400b495715eb95def977eef1ec262b26e2233c7ab425034c299ff2"
+
+
+def test_battery_reports_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for variant in (Variant.BASELINE, Variant.IMPROVED):
+            for cfg in battery_configs(variant, seed):
+                digest.update(run_scenario(cfg).to_json())
+    assert digest.hexdigest() == BATTERY_DIGEST
+
+
+# --- provisioning ------------------------------------------------------------
+
+@pytest.mark.parametrize("variant, used, unused", [
+    (Variant.BASELINE, "make_file_identity", "create_token"),
+    (Variant.IMPROVED, "create_token", "make_file_identity"),
+])
+def test_honest_run_provisions_only_what_the_variant_signs_with(
+        monkeypatch, variant, used, unused):
+    calls = {used: 0, unused: 0}
+    for name in calls:
+        def counted(*args, _real=getattr(netsim, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(netsim, name, counted)
+    report = run_scenario(scenario(variant=variant))
+    assert report.established and report.skeyid_match
+    assert calls == {used: 2, unused: 0}
+
+
+def test_tokenless_principal_gets_no_token_in_either_variant():
+    configs = (PrincipalConfig("alice", Role.INITIATOR, token=False),
+               PrincipalConfig("bob", Role.RESPONDER))
+    improved = netsim.build_principals(3, Variant.IMPROVED, configs)
+    assert improved["alice"].token is None
+    assert improved["bob"].token is not None
+    baseline = netsim.build_principals(3, Variant.BASELINE, configs)
+    assert all(p.token is None and p.file_identity is not None
+               for p in baseline.values())
 
 
 # --- flood -------------------------------------------------------------------
@@ -294,6 +341,37 @@ def test_message_log_accounts_for_every_datagram():
     # improved handshake messages lead with the DEV payload
     msg1 = next(m for m in log if m["kind"] == "msg1")
     assert msg1["payloads"][0] == "DEV" and msg1["blob_bytes"] > 0
+
+
+def test_undecodable_datagram_is_logged_and_traced_once():
+    # byte 17 is the header version: the responder cannot decode message 1
+    report = run_scenario(scenario(adversary=[Tamper(message=0, offset=17)]))
+    assert report.established is False
+    assert report.message_log[0]["payloads"] == []
+    assert report.message_log[0]["tampered"] is True
+    assert report.failure_trace == [
+        {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
+
+
+# --- UDP bridge -----------------------------------------------------------------------
+
+def test_udp_returns_at_once_when_the_initiator_gives_up():
+    start = time.monotonic()
+    result = netsim.run_handshake_udp(Variant.IMPROVED, 7,
+                                      no_token=frozenset({"alice"}), timeout=30)
+    assert time.monotonic() - start < 5
+    assert result["initiator_failure"] == "no device"
+    assert result["established"] is False
+    assert result["message_sizes"] == []
+
+
+def test_udp_returns_at_once_when_the_responder_gives_up():
+    start = time.monotonic()
+    result = netsim.run_handshake_udp(Variant.IMPROVED, 7,
+                                      no_token=frozenset({"bob"}), timeout=30)
+    assert time.monotonic() - start < 5
+    assert result["responder_failure"] == "no device"
+    assert len(result["message_sizes"]) == 1
 
 
 # --- verdict derivation --------------------------------------------------------------

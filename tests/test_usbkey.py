@@ -1,6 +1,7 @@
 """Device-boundary tests: access policy, sealed operations, secrecy."""
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from ikedev import crypto, usbkey
 from ikedev.errors import (
@@ -181,6 +182,22 @@ def test_file_identity_mirrors_certificate_shape():
     decoded = usbkey.decode_certificate(ident.certificate.encoded)
     assert decoded.subject == "carol"
     assert usbkey.verify_certificate(decoded)
+
+
+def test_device_sign_uses_the_provisioned_private_key(token):
+    data = b"hash to sign"
+    expected = Ed25519PrivateKey.from_private_bytes(token._private_key).sign(data)
+    assert usbkey.device_sign(token, data) == expected
+    assert usbkey.device_sign(token, data) == expected   # the held key is reusable
+
+
+def test_file_identity_signs_with_its_file_key():
+    ident = usbkey.make_file_identity("carol", b"\x05" * 32)
+    assert ident.private_key == b"\x05" * 32
+    data = b"hash to sign"
+    expected = Ed25519PrivateKey.from_private_bytes(ident.private_key).sign(data)
+    assert crypto.sign(ident.signing_key, data) == expected
+    assert crypto.verify(ident.certificate.public_key, data, expected)
 
 
 # --- secrecy of device internals --------------------------------------------
