@@ -16,6 +16,7 @@ failure or matrix mismatch, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,14 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "a security-key gate, under an adversarial simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser,
+               seed_default: str = f"${SEED_ENV} or {DEFAULT_SEED}") -> None:
         p.add_argument("--seed", type=int, default=None,
-                       help=f"simulation seed (default ${SEED_ENV} or "
-                            f"{DEFAULT_SEED})")
+                       help=f"simulation seed (default {seed_default})")
         p.add_argument("--format", choices=("table", "structured"),
                        default="table", help="output rendering")
-        p.add_argument("--ascii", action="store_true",
-                       help="render O/x instead of the ○/× glyphs")
 
     p_hs = sub.add_parser("handshake", help="run one handshake")
     common(p_hs)
@@ -72,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exchange the same bytes over loopback datagrams")
 
     p_at = sub.add_parser("attack", help="run one adversary scenario")
-    common(p_at)
+    common(p_at, seed_default="the scenario file's seed")
     p_at.add_argument("--scenario", required=True, metavar="PATH",
                       help="scenario JSON file")
 
     p_mx = sub.add_parser("matrix", help="run the comparison battery")
     common(p_mx)
+    p_mx.add_argument("--ascii", action="store_true",
+                      help="render O/x instead of the ○/× glyphs")
     p_mx.add_argument("--disable-dos-gate", action="store_true",
                       help=argparse.SUPPRESS)
     return parser
@@ -202,11 +203,7 @@ def cmd_handshake(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     scenario = netsim.load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = ScenarioConfig(
-            name=scenario.name, variant=scenario.variant, seed=args.seed,
-            principals=scenario.principals, adversary=scenario.adversary,
-            handshake=scenario.handshake,
-            disable_dos_gate=scenario.disable_dos_gate)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_scenario(scenario)
     if args.format == "structured":
         _print_structured(report.to_dict())

@@ -13,12 +13,10 @@ named codec errors, never an uncontrolled exception.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from . import crypto
 from .errors import (
     BadLength,
     BadVersion,
@@ -397,20 +395,6 @@ def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:
     if end != len(data):
         raise BadLength(f"{len(data) - end} trailing bytes after chain", end)
     return payloads
-
-
-def encrypt_payload_chain(key: bytes, payloads: list[IsakmpPayload],
-                          rng: random.Random,
-                          suite: crypto.AeadSuite = crypto.AES256GCM) -> bytes:
-    """Seal a whole payload chain into one opaque blob."""
-    return crypto.seal(suite, key, rng, serialize_payload_chain(payloads))
-
-
-def decrypt_payload_chain(key: bytes, blob: bytes,
-                          suite: crypto.AeadSuite = crypto.AES256GCM
-                          ) -> list[IsakmpPayload]:
-    """Authenticate, then parse; tampering surfaces before any parsing."""
-    return parse_payload_chain(crypto.open_sealed(suite, key, blob))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Everything here is a pure function of its inputs; randomness always comes
 from a caller-supplied ``random.Random`` so simulation runs are exactly
-reproducible from a seed.  The primitive suite (AEAD cipher, signature
-scheme, PRF) is pluggable; the default suite is AES-256-GCM + Ed25519 +
-HMAC-SHA256 and its identifiers are recorded in scenario reports.
+reproducible from a seed.  The primitives are fixed: AES-256-GCM for
+sealing, Ed25519 for signatures and HMAC-SHA256 as the PRF.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from .errors import AuthFailure, InvalidSerialLength, MalformedCiphertext, WeakP
 
 SERIAL_LEN = 7
 
-PRF_ID = "hmac-sha256"
-SIGNATURE_ID = "ed25519"
 SIGNATURE_LEN = 64
 PUBLIC_KEY_LEN = 32
 
@@ -82,8 +79,6 @@ _MODP2048_P = int(
     16,
 )
 MODP2048_GROUP = DhGroup(name="modp2048", p=_MODP2048_P, g=2, exponent_bits=256)
-
-DH_GROUPS = {g.name: g for g in (DESK_GROUP, MODP2048_GROUP)}
 
 
 def dh_keypair(group: DhGroup, rng: random.Random) -> tuple[int, bytes]:
@@ -189,15 +184,6 @@ class AeadSuite:
 
 
 AES256GCM = AeadSuite(name="aes256gcm", key_size=32, nonce_size=16, tag_size=16)
-
-CIPHER_SUITES = {AES256GCM.name: AES256GCM}
-
-
-def get_cipher(name: str) -> AeadSuite:
-    try:
-        return CIPHER_SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown cipher suite {name!r}") from None
 
 
 def seal(suite: AeadSuite, key: bytes, rng: random.Random, plaintext: bytes) -> bytes:

@@ -54,7 +54,6 @@ from .protocol import (
 from .usbkey import (
     DeploymentConfig,
     FileIdentity,
-    KeySelector,
     SecurityToken,
     create_token,
     device_decrypt,
@@ -124,13 +123,9 @@ class Observe:
 
 @dataclass(frozen=True)
 class Replay:
-    """Re-inject the captured ``message``-th datagram to a fresh session.
-
-    ``delay`` is carried for config compatibility; the simulator has no
-    timing model, replays simply run after the honest flow.
-    """
+    """Re-inject the captured ``message``-th datagram to a fresh session,
+    after the honest flow."""
     message: int
-    delay: int = 0
 
 
 Action = Flood | Tamper | Observe | Replay
@@ -209,7 +204,7 @@ def _action_from_dict(raw: dict) -> Action:
         "flood": {"count", "forge_source"},
         "tamper": {"message", "payload", "offset", "xor", "fallback_to_blob"},
         "observe": {"knowledge"},
-        "replay": {"message", "delay"},
+        "replay": {"message"},
     }
     if kind not in fields_by_kind:
         raise ConfigError(f"unknown adversary action {kind!r}")
@@ -227,14 +222,16 @@ def _action_from_dict(raw: dict) -> Action:
             xor = int(raw.get("xor", 1))
             if not 1 <= xor <= 255:
                 raise ConfigError("tamper xor must be in [1, 255]")
+            offset = int(raw.get("offset", 0))
+            if offset < 0:
+                raise ConfigError("tamper offset must be >= 0")
             payload = raw.get("payload")
             return Tamper(message=int(raw["message"]),
                           payload=None if payload is None else str(payload),
-                          offset=int(raw.get("offset", 0)), xor=xor,
+                          offset=offset, xor=xor,
                           fallback_to_blob=bool(raw.get("fallback_to_blob", True)))
         if kind == "replay":
-            return Replay(message=int(raw["message"]),
-                          delay=int(raw.get("delay", 0)))
+            return Replay(message=int(raw["message"]))
         try:
             knowledge = ObserverKnowledge(raw.get("knowledge", "none"))
         except ValueError:
@@ -278,9 +275,9 @@ def tamper_in_flight(data: bytes, selector: TamperSelector, xor: int) -> bytes:
         for rng in ranges:
             if rng.type.name == wanted:
                 pos = rng.body_start + selector.offset
-                if pos >= rng.body_end:
+                if not rng.body_start <= pos < rng.body_end:
                     raise SelectorMiss(
-                        f"offset {selector.offset} beyond {wanted} body")
+                        f"offset {selector.offset} outside {wanted} body")
                 break
         else:
             raise SelectorMiss(f"no {wanted} payload in clear chain")
@@ -353,7 +350,7 @@ def observe(data: bytes, knowledge: ObserverKnowledge,
             if not has_key1:
                 continue
             try:
-                serial = device_decrypt(token, KeySelector.KEY1, body.sealed)
+                serial = device_decrypt(token, body.sealed)
             except (AuthFailure, MalformedCiphertext):
                 continue
             findings.append(Finding("DEV-SERIAL", serial))
@@ -538,6 +535,31 @@ def build_principals(seed: int, variant: Variant,
     return principals
 
 
+def run_ladder(ini: HandshakeSession, rsp: HandshakeSession, carry) -> None:
+    """Drive one handshake: ``initiator_start``, then the three steps.
+
+    ``carry(wire, src, dst, kind)`` takes one encoded message from the
+    session named ``src`` to the one named ``dst`` and returns what ``dst``
+    decodes, or None if nothing arrives.  The ladder stops at the first
+    step that sends nothing; a step that finds no device sends nothing.
+    """
+    steps = ((ini, rsp, "msg1", rsp.responder_on_msg1),
+             (rsp, ini, "msg2", ini.initiator_on_msg2),
+             (ini, rsp, "msg3", rsp.responder_on_msg3))
+    try:
+        outgoing = ini.initiator_start()
+        for src, dst, kind, step in steps:
+            if outgoing is None:
+                return
+            received = carry(codec.encode_message(outgoing), src.name,
+                             dst.name, kind)
+            if received is None:
+                return
+            outgoing = step(received)
+    except DeviceAbsent:
+        return
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     seed = config.seed
     group = crypto.DESK_GROUP
@@ -567,16 +589,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
     message_log: list[dict] = []
     failure_trace: list[dict] = []
-    drained: dict[int, int] = {}
 
     def drain(principal: Principal, session: HandshakeSession) -> None:
-        start = drained.get(id(session), 0)
-        for event in session.events[start:]:
+        """Trace a finished session's failures; each session is drained once."""
+        for event in session.events:
             if event.failure is not None:
                 failure_trace.append({"principal": principal.name,
                                       "op": event.op,
                                       "failure": event.failure})
-        drained[id(session)] = len(session.events)
 
     def transmit(wire: bytes, src: str, dst: str,
                  kind: str) -> codec.IsakmpMessage | None:
@@ -596,7 +616,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 if not (action.payload and action.fallback_to_blob):
                     raise
                 blob = codec.encrypted_chain_range(wire)
-                if blob is None or blob[0] + action.offset >= blob[1]:
+                if blob is None or not 0 <= action.offset < blob[1] - blob[0]:
                     raise
                 wire = tamper_in_flight(
                     wire, TamperSelector(offset=blob[0] + action.offset),
@@ -663,34 +683,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                             config.disable_dos_gate)
         rsp_session = responder.new_session(config.variant, seed,
                                             config.disable_dos_gate)
-        try:
-            msg1 = ini_session.initiator_start()
-        except DeviceAbsent:
-            msg1 = None
+        run_ladder(ini_session, rsp_session, transmit)
+        # Only the step that ends the ladder can record a failure, so
+        # draining afterwards keeps the trace in the order it happened.
         drain(initiator, ini_session)
-        msg2 = None
-        if msg1 is not None:
-            received = transmit(codec.encode_message(msg1), initiator.name,
-                                responder.name, "msg1")
-            if received is not None:
-                try:
-                    msg2 = rsp_session.responder_on_msg1(received)
-                except DeviceAbsent:
-                    pass
-            drain(responder, rsp_session)
-        msg3 = None
-        if msg2 is not None:
-            received = transmit(codec.encode_message(msg2), responder.name,
-                                initiator.name, "msg2")
-            if received is not None:
-                msg3 = ini_session.initiator_on_msg2(received)
-            drain(initiator, ini_session)
-        if msg3 is not None:
-            received = transmit(codec.encode_message(msg3), initiator.name,
-                                responder.name, "msg3")
-            if received is not None:
-                rsp_session.responder_on_msg3(received)
-            drain(responder, rsp_session)
+        drain(responder, rsp_session)
         established = (ini_session.state is SessionState.ESTABLISHED
                        and rsp_session.state is SessionState.ESTABLISHED)
         skeyid_match = (established
@@ -850,28 +847,23 @@ def run_handshake_udp(variant: Variant, seed: int,
 
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as ini_sock, \
             socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rsp_sock:
-        for sock in (ini_sock, rsp_sock):
+        socks = {ini.name: ini_sock, rsp.name: rsp_sock}
+        for sock in socks.values():
             sock.bind((host, 0))
             sock.settimeout(timeout)
-        try:
-            outgoing = ini.initiator_start()
-        except DeviceAbsent:
-            outgoing = None
-        for src, dst, side, step in (
-                (ini_sock, rsp_sock, "responder", rsp.responder_on_msg1),
-                (rsp_sock, ini_sock, "initiator", ini.initiator_on_msg2),
-                (ini_sock, rsp_sock, "responder", rsp.responder_on_msg3)):
-            if outgoing is None:
-                break
-            wire = codec.encode_message(outgoing)
+
+        def carry(wire: bytes, src: str, dst: str,
+                  kind: str) -> codec.IsakmpMessage | None:
             sizes.append(len(wire))
             try:
-                src.sendto(wire, dst.getsockname())
-                data, _ = dst.recvfrom(65535)
-                outgoing = step(codec.decode_message(data))
-            except (OSError, CodecError, DeviceAbsent) as exc:
-                errors[side] = str(exc)
-                break
+                socks[src].sendto(wire, socks[dst].getsockname())
+                data, _ = socks[dst].recvfrom(65535)
+                return codec.decode_message(data)
+            except (OSError, CodecError) as exc:
+                errors["responder" if dst == rsp.name else "initiator"] = str(exc)
+                return None
+
+        run_ladder(ini, rsp, carry)
 
     established = (ini.state is SessionState.ESTABLISHED
                    and rsp.state is SessionState.ESTABLISHED)

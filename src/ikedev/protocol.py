@@ -36,6 +36,7 @@ from enum import Enum
 
 from . import codec, crypto
 from .codec import (
+    Body,
     CertBody,
     DevBody,
     IdBody,
@@ -54,8 +55,8 @@ from .errors import (
     WeakPublicValue,
 )
 from .usbkey import (
+    Certificate,
     FileIdentity,
-    KeySelector,
     SecurityToken,
     decode_certificate,
     device_decrypt,
@@ -185,7 +186,6 @@ class HandshakeSession:
     name: str
     rng: random.Random
     group: crypto.DhGroup = crypto.DESK_GROUP
-    suite: crypto.AeadSuite = crypto.AES256GCM
     token: SecurityToken | None = None
     file_identity: FileIdentity | None = None
     replay_guard: ReplayGuard | None = None
@@ -209,7 +209,6 @@ class HandshakeSession:
     _sa_offer: bytes = b""      # SA bytes from message 1
     _id_i: bytes = b""          # initiator ID body bytes
     _id_r: bytes = b""          # responder ID body bytes
-    _peer_name: str = ""
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -230,13 +229,6 @@ class HandshakeSession:
             self.counters.messages_rejected_pre_dh += 1
         self._record(op, failure=reason)
 
-    def _own_certificate(self) -> tuple[bytes, str]:
-        if self.variant is Variant.IMPROVED:
-            return device_get_certificate(self.token).encoded, "device"
-        if self.file_identity is None:
-            raise DeviceAbsent(f"{self.name} has no file identity")
-        return self.file_identity.certificate.encoded, "file"
-
     def _sign(self, digest: bytes) -> bytes:
         if self.variant is Variant.IMPROVED:
             self.signature_backend = "device"
@@ -251,20 +243,112 @@ class HandshakeSession:
             self._fail(op, "no device")
             raise DeviceAbsent(f"{self.name} has no security key device")
 
-    def _check_peer_certificate(self, encoded: bytes,
-                                peer_id: IdBody) -> object | None:
-        """Decode and vet the peer certificate; None means reject."""
+    # -- sealing and opening, the same in both directions ---------------------
+
+    def _ladder_message(self, sa: bytes, auth: list[Body]) -> IsakmpMessage:
+        """Message 1 (``auth`` empty) or message 2: own SA/KE/nonce/ID and
+        ``auth``.  The improved variant puts a DEV payload first and seals
+        the SA/KE/nonce/ID chain under (key1, own serial)."""
+        bodies = [
+            SaBody(sa),
+            KeBody(self.own_public),
+            NonceBody(self.own_nonce),
+            IdBody(ID_TYPE_FQDN, self.name.encode()),
+        ]
+        if self.variant is Variant.BASELINE:
+            return codec.build_message(self.cky_i, self.cky_r, bodies + auth)
+        dev = DevBody.from_sealed(device_encrypt(self.token, self.token.serial))
+        blob = device_session_encrypt(
+            self.token, self.token.serial,
+            codec.serialize_payload_chain(codec.link_payloads(bodies)))
+        return codec.build_message(self.cky_i, self.cky_r, [dev] + auth,
+                                   flags=codec.FLAG_ENCRYPTION,
+                                   encrypted_chain=blob)
+
+    def _auth_bodies(self, digest: bytes) -> list[Body]:
+        """Sign ``digest``; CERT + SIG, sealed under the own serial key in
+        the improved variant."""
+        signature = self._sign(digest)   # checks the device or file is there
+        if self.variant is Variant.BASELINE:
+            return [CertBody(CERT_ENCODING_CLEAR,
+                             self.file_identity.certificate.encoded),
+                    SigBody(signature)]
+        cert_encoded = device_get_certificate(self.token).encoded
+        serial_key = crypto.kdf_serial(self.token.serial)
+        return [
+            CertBody(CERT_ENCODING_SEALED,
+                     crypto.seal(crypto.AES256GCM, serial_key, self.rng,
+                                 cert_encoded)),
+            SigBody(crypto.seal(crypto.AES256GCM, serial_key, self.rng,
+                                signature)),
+        ]
+
+    def _open_ladder(self, msg: IsakmpMessage) -> list[codec.IsakmpPayload] | str:
+        """The peer's SA/KE/nonce/ID payloads, or why they cannot be had.
+
+        The improved variant authenticates DEV under key1, admits its nonce
+        to the replay guard, then opens the chain under (key1, peer serial).
+        Reasons: ``no-dev``, ``bad-dev``, ``replay``, ``bad-chain`` and
+        ``malformed``.
+        """
+        if self.variant is Variant.BASELINE:
+            return msg.payloads
+        dev = msg.first(PayloadType.DEV)
+        if dev is None:
+            return "no-dev"
         try:
-            cert = decode_certificate(encoded)
+            serial = device_decrypt(self.token, dev.sealed)
+        except (AuthFailure, MalformedCiphertext):
+            self.counters.decrypt_failures += 1
+            return "bad-dev"
+        if len(serial) != crypto.SERIAL_LEN:
+            return "bad-dev"
+        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
+            return "replay"
+        self.peer_serial = serial
+        if msg.encrypted_chain is None:
+            return "malformed"
+        try:
+            plain = device_session_decrypt(self.token, serial,
+                                           msg.encrypted_chain)
+        except (AuthFailure, MalformedCiphertext):
+            self.counters.decrypt_failures += 1
+            return "bad-chain"
+        try:
+            return codec.parse_payload_chain(plain)
         except CodecError:
-            return None
-        if not verify_certificate(cert):
-            return None
-        if cert.subject.encode() != peer_id.identity:
-            return None
-        if self.variant is Variant.IMPROVED and cert.serial_binding != self.peer_serial:
-            return None
-        return cert
+            return "malformed"
+
+    def _open_peer_auth(self, cert_body: CertBody, sig_body: SigBody,
+                        peer_id: IdBody) -> tuple[Certificate, bytes] | str:
+        """The peer's vetted certificate and its signature, or the failing
+        step (``cert`` or ``sig-decrypt``).  The improved variant unseals
+        both bodies under the peer's serial key first."""
+        cert_encoded, signature = cert_body.certificate, sig_body.signature
+        if self.variant is Variant.IMPROVED:
+            serial_key = crypto.kdf_serial(self.peer_serial)
+            try:
+                cert_encoded = crypto.open_sealed(crypto.AES256GCM, serial_key,
+                                                  cert_encoded)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                return "cert"
+            try:
+                signature = crypto.open_sealed(crypto.AES256GCM, serial_key,
+                                               signature)
+            except (AuthFailure, MalformedCiphertext):
+                self.counters.decrypt_failures += 1
+                return "sig-decrypt"
+        try:
+            cert = decode_certificate(cert_encoded)
+        except CodecError:
+            return "cert"
+        if (not verify_certificate(cert)
+                or cert.subject.encode() != peer_id.identity
+                or (self.variant is Variant.IMPROVED
+                    and cert.serial_binding != self.peer_serial)):
+            return "cert"
+        return cert, signature
 
     # -- ladder steps ---------------------------------------------------------
 
@@ -283,23 +367,7 @@ class HandshakeSession:
         self._sa_offer = codec.DEFAULT_SA_PROPOSAL
         self._id_i = _id_bytes(self.name)
 
-        bodies = [
-            SaBody(self._sa_offer),
-            KeBody(self.own_public),
-            NonceBody(self.own_nonce),
-            IdBody(ID_TYPE_FQDN, self.name.encode()),
-        ]
-        if self.variant is Variant.BASELINE:
-            msg = codec.build_message(self.cky_i, self.cky_r, bodies)
-        else:
-            dev = DevBody.from_sealed(
-                device_encrypt(self.token, KeySelector.KEY1, self.token.serial))
-            blob = device_session_encrypt(
-                self.token, self.token.serial,
-                codec.serialize_payload_chain(codec.link_payloads(bodies)))
-            msg = codec.build_message(self.cky_i, self.cky_r, [dev],
-                                      flags=codec.FLAG_ENCRYPTION,
-                                      encrypted_chain=blob)
+        msg = self._ladder_message(self._sa_offer, [])
         self.state = SessionState.SENT1
         self._record(op, emitted="msg1")
         return msg
@@ -315,37 +383,16 @@ class HandshakeSession:
         self._require_token(op)
         self.cky_i = msg.header.initiator_cookie
 
-        if self.variant is Variant.IMPROVED:
-            if self.disable_dos_gate:
-                # Regression mode: pay for the DH keypair before the gate,
-                # the way the baseline does.
-                self.counters.dh_ops += 1
-                self._exponent, self.own_public = crypto.dh_keypair(
-                    self.group, self.rng)
-            serial = self._pass_dev_gate(op, msg,
-                                         pre_dh=not self.disable_dos_gate)
-            if serial is None:
-                return None
-            self.peer_serial = serial
-            pre_dh = not self.disable_dos_gate
-            if msg.encrypted_chain is None:
-                self._reject(op, "malformed", pre_dh)
-                return None
-            try:
-                plain = device_session_decrypt(self.token, serial,
-                                               msg.encrypted_chain)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._reject(op, "bad-chain", pre_dh)
-                return None
-            try:
-                payloads = codec.parse_payload_chain(plain)
-            except CodecError:
-                self._reject(op, "malformed", pre_dh)
-                return None
-        else:
-            payloads = msg.payloads
-
+        if self.variant is Variant.IMPROVED and self.disable_dos_gate:
+            # Regression mode: pay for the DH keypair before the gate, the
+            # way the baseline does.
+            self.counters.dh_ops += 1
+            self._exponent, self.own_public = crypto.dh_keypair(self.group,
+                                                                self.rng)
+        payloads = self._open_ladder(msg)
+        if isinstance(payloads, str):
+            self._reject(op, payloads, pre_dh=not self.disable_dos_gate)
+            return None
         ladder = _ladder_bodies(payloads)
         if ladder is None:
             self._reject(op, "malformed",
@@ -371,7 +418,6 @@ class HandshakeSession:
         self._sa_offer = sa.proposal
         self._id_i = bytes([peer_id.id_type]) + peer_id.identity
         self._id_r = _id_bytes(self.name)
-        self._peer_name = peer_id.identity.decode(errors="replace")
         self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
                                            shared, self.cky_i, self.cky_r)
 
@@ -379,62 +425,10 @@ class HandshakeSession:
         hash_r = crypto.compute_hash_r(self.skeyid.skeyid, self.own_public,
                                        self.peer_public, self.cky_r,
                                        self.cky_i, sa_echo, self._id_r)
-        signature = self._sign(hash_r)
-        cert_encoded, _ = self._own_certificate()
-
-        bodies = [
-            SaBody(sa_echo),
-            KeBody(self.own_public),
-            NonceBody(self.own_nonce),
-            IdBody(ID_TYPE_FQDN, self.name.encode()),
-        ]
-        if self.variant is Variant.BASELINE:
-            reply = codec.build_message(
-                self.cky_i, self.cky_r,
-                bodies + [CertBody(CERT_ENCODING_CLEAR, cert_encoded),
-                          SigBody(signature)])
-        else:
-            dev = DevBody.from_sealed(
-                device_encrypt(self.token, KeySelector.KEY1, self.token.serial))
-            serial_key = crypto.kdf_serial(self.token.serial)
-            clear = [
-                dev,
-                CertBody(CERT_ENCODING_SEALED,
-                         crypto.seal(self.suite, serial_key, self.rng,
-                                     cert_encoded)),
-                SigBody(crypto.seal(self.suite, serial_key, self.rng,
-                                    signature)),
-            ]
-            blob = device_session_encrypt(
-                self.token, self.token.serial,
-                codec.serialize_payload_chain(codec.link_payloads(bodies)))
-            reply = codec.build_message(self.cky_i, self.cky_r, clear,
-                                        flags=codec.FLAG_ENCRYPTION,
-                                        encrypted_chain=blob)
+        reply = self._ladder_message(sa_echo, self._auth_bodies(hash_r))
         self.state = SessionState.SENT2
         self._record(op, emitted="msg2")
         return reply
-
-    def _pass_dev_gate(self, op: str, msg: IsakmpMessage,
-                       pre_dh: bool) -> bytes | None:
-        """Authenticate the DEV payload under key1; None means rejected."""
-        dev = msg.first(PayloadType.DEV)
-        if dev is None:
-            self._reject(op, "no-dev", pre_dh)
-            return None
-        try:
-            serial = device_decrypt(self.token, KeySelector.KEY1, dev.sealed)
-        except (AuthFailure, MalformedCiphertext):
-            self.counters.decrypt_failures += 1
-            self._reject(op, "bad-dev", pre_dh)
-            return None
-        if len(serial) != crypto.SERIAL_LEN:
-            self._reject(op, "bad-dev", pre_dh)
-            return None
-        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
-            self._reject(op, "replay", pre_dh)
-            return None
-        return serial
 
     def initiator_on_msg2(self, msg: IsakmpMessage) -> IsakmpMessage | None:
         op = "initiator_on_msg2"
@@ -443,40 +437,11 @@ class HandshakeSession:
             return None
         self.cky_r = msg.header.responder_cookie
 
-        if self.variant is Variant.IMPROVED:
-            dev = msg.first(PayloadType.DEV)
-            if dev is None:
-                self._fail(op, "umr")
-                return None
-            try:
-                serial = device_decrypt(self.token, KeySelector.KEY1,
-                                        dev.sealed)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "umr")
-                return None
-            if len(serial) != crypto.SERIAL_LEN:
-                self._fail(op, "umr")
-                return None
-            self.peer_serial = serial
-            if msg.encrypted_chain is None:
-                self._fail(op, "chain")
-                return None
-            try:
-                plain = device_session_decrypt(self.token, serial,
-                                               msg.encrypted_chain)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "chain")
-                return None
-            try:
-                payloads = codec.parse_payload_chain(plain)
-            except CodecError:
-                self._fail(op, "chain")
-                return None
-        else:
-            payloads = msg.payloads
-
+        payloads = self._open_ladder(msg)
+        if isinstance(payloads, str):
+            self._fail(op, "umr" if payloads in ("no-dev", "bad-dev")
+                       else "chain")
+            return None
         ladder = _ladder_bodies(payloads)
         if ladder is None:
             self._fail(op, "malformed")
@@ -491,36 +456,15 @@ class HandshakeSession:
         if sig_body is None:
             self._fail(op, "sig-decrypt")
             return None
-
-        if self.variant is Variant.IMPROVED:
-            serial_key = crypto.kdf_serial(self.peer_serial)
-            try:
-                cert_encoded = crypto.open_sealed(self.suite, serial_key,
-                                                  cert_body.certificate)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "cert")
-                return None
-            try:
-                signature = crypto.open_sealed(self.suite, serial_key,
-                                               sig_body.signature)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "sig-decrypt")
-                return None
-        else:
-            cert_encoded = cert_body.certificate
-            signature = sig_body.signature
-
-        cert = self._check_peer_certificate(cert_encoded, peer_id)
-        if cert is None:
-            self._fail(op, "cert")
+        auth = self._open_peer_auth(cert_body, sig_body, peer_id)
+        if isinstance(auth, str):
+            self._fail(op, auth)
             return None
+        cert, signature = auth
 
         self.peer_nonce = nonce.nonce
         self.peer_public = ke.public_value
         self._id_r = bytes([peer_id.id_type]) + peer_id.identity
-        self._peer_name = peer_id.identity.decode(errors="replace")
 
         self.counters.dh_ops += 1
         try:
@@ -543,22 +487,9 @@ class HandshakeSession:
         hash_i = crypto.compute_hash_i(skeyid.skeyid, self.own_public,
                                        self.peer_public, self.cky_i,
                                        self.cky_r, self._sa_offer, self._id_i)
-        own_sig = self._sign(hash_i)
-        cert_encoded, _ = self._own_certificate()
-        if self.variant is Variant.BASELINE:
-            reply = codec.build_message(
-                self.cky_i, self.cky_r,
-                [CertBody(CERT_ENCODING_CLEAR, cert_encoded),
-                 SigBody(own_sig)])
-        else:
-            own_key = crypto.kdf_serial(self.token.serial)
-            reply = codec.build_message(
-                self.cky_i, self.cky_r,
-                [CertBody(CERT_ENCODING_SEALED,
-                          crypto.seal(self.suite, own_key, self.rng,
-                                      cert_encoded)),
-                 SigBody(crypto.seal(self.suite, own_key, self.rng, own_sig))],
-                flags=codec.FLAG_ENCRYPTION)
+        flags = codec.FLAG_ENCRYPTION if self.variant is Variant.IMPROVED else 0
+        reply = codec.build_message(self.cky_i, self.cky_r,
+                                    self._auth_bodies(hash_i), flags=flags)
         self.state = SessionState.ESTABLISHED
         self._record(op, emitted="msg3")
         return reply
@@ -574,32 +505,12 @@ class HandshakeSession:
         if cert_body is None or sig_body is None:
             self._fail(op, "malformed")
             return False
-
-        if self.variant is Variant.IMPROVED:
-            serial_key = crypto.kdf_serial(self.peer_serial)
-            try:
-                cert_encoded = crypto.open_sealed(self.suite, serial_key,
-                                                  cert_body.certificate)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "cert")
-                return False
-            try:
-                signature = crypto.open_sealed(self.suite, serial_key,
-                                               sig_body.signature)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                self._fail(op, "sig-decrypt")
-                return False
-        else:
-            cert_encoded = cert_body.certificate
-            signature = sig_body.signature
-
-        peer_id = IdBody(self._id_i[0], self._id_i[1:])
-        cert = self._check_peer_certificate(cert_encoded, peer_id)
-        if cert is None:
-            self._fail(op, "cert")
+        auth = self._open_peer_auth(cert_body, sig_body,
+                                    IdBody(self._id_i[0], self._id_i[1:]))
+        if isinstance(auth, str):
+            self._fail(op, auth)
             return False
+        cert, signature = auth
 
         hash_i = crypto.compute_hash_i(self.skeyid.skeyid, self.peer_public,
                                        self.own_public, self.cky_i, self.cky_r,

@@ -23,19 +23,15 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import crypto
 from .errors import (
-    AuthFailure,
     BadLength,
     DeviceAbsent,
     InvalidSerialLength,
-    MalformedCiphertext,
     PermissionDenied,
 )
 
 SERIAL_LEN = crypto.SERIAL_LEN
 
 VIRTUAL_CD_IMAGE = b"IKEDEV-VCD\x00utility image placeholder"
-
-_CIPHER_REGION_IDS = {"aes256gcm": 1}
 
 
 class RegionId(Enum):
@@ -59,12 +55,6 @@ ACCESS_POLICY = {
     RegionId.VIRTUAL_CD: (True, False),
     RegionId.USER_DATA: (True, True),
 }
-
-
-class KeySelector(Enum):
-    KEY1 = "key1"
-    OWN_SERIAL = "own_serial"
-    PEER_SERIAL = "peer_serial"
 
 
 # ---------------------------------------------------------------------------
@@ -144,29 +134,15 @@ def make_file_identity(subject: str, seed: bytes) -> FileIdentity:
 
 @dataclass(frozen=True)
 class DeploymentConfig:
-    """Fleet-wide device provisioning: shared key1 and primitive choices."""
+    """Fleet-wide device provisioning: the shared key1 and the key seed."""
 
     key1: bytes
-    cipher: str = "aes256gcm"
-    signature_scheme: str = "ed25519"
     seed: int = 0
 
     def __post_init__(self):
-        suite = crypto.get_cipher(self.cipher)
-        if len(self.key1) != suite.key_size:
+        if len(self.key1) != crypto.AES256GCM.key_size:
             raise ValueError(
-                f"key1 must be {suite.key_size} bytes for {self.cipher}")
-        if self.signature_scheme != crypto.SIGNATURE_ID:
-            raise ValueError(f"unknown signature scheme {self.signature_scheme!r}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DeploymentConfig":
-        return cls(
-            key1=bytes.fromhex(raw["key1_hex"]),
-            cipher=raw.get("cipher", "aes256gcm"),
-            signature_scheme=raw.get("signature_scheme", "ed25519"),
-            seed=int(raw.get("seed", 0)),
-        )
+                f"key1 must be {crypto.AES256GCM.key_size} bytes")
 
 
 @dataclass
@@ -176,20 +152,8 @@ class SecurityToken:
     _key1: bytes = field(repr=False)
     _private_key: bytes = field(repr=False)
     _signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
-    _suite: crypto.AeadSuite = field(repr=False)
     _rng: object = field(repr=False)
     _regions: dict = field(repr=False)
-
-    def _key_for(self, selector: KeySelector, peer_serial: bytes | None) -> bytes:
-        if selector is KeySelector.KEY1:
-            return self._key1
-        if selector is KeySelector.OWN_SERIAL:
-            return crypto.kdf_serial(self.serial)
-        if selector is KeySelector.PEER_SERIAL:
-            if peer_serial is None:
-                raise ValueError("peer_serial required for PEER_SERIAL selector")
-            return crypto.kdf_serial(peer_serial)
-        raise ValueError(f"unsupported selector {selector}")
 
 
 def create_token(serial: bytes, deployment: DeploymentConfig,
@@ -199,14 +163,13 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
     if len(serial) != SERIAL_LEN:
         raise InvalidSerialLength(
             f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
-    suite = crypto.get_cipher(deployment.cipher)
     private = hashlib.sha256(
         b"ikedev/token-keygen|%d|" % deployment.seed + serial).digest()
     signing_key, public = crypto.signature_keypair(private)
     cert = make_certificate(subject, serial, signing_key, public)
     regions = {
         RegionId.MANAGER_PRIVATE_KEY: private + serial,
-        RegionId.MANAGER_ALGORITHM: bytes([_CIPHER_REGION_IDS[deployment.cipher]]),
+        RegionId.MANAGER_ALGORITHM: b"\x01",  # AES-256-GCM
         RegionId.MANAGER_CERTIFICATE: cert.encoded,
         RegionId.VIRTUAL_CD: VIRTUAL_CD_IMAGE,
         RegionId.USER_DATA: b"",
@@ -214,7 +177,7 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
     rng = crypto.derive_rng(deployment.seed, f"token-nonce|{serial.hex()}")
     return SecurityToken(
         serial=serial, certificate=cert, _key1=deployment.key1,
-        _private_key=private, _signing_key=signing_key, _suite=suite,
+        _private_key=private, _signing_key=signing_key,
         _rng=rng, _regions=regions)
 
 
@@ -236,26 +199,18 @@ def device_get_certificate(token: SecurityToken | None) -> Certificate:
     return _require(token).certificate
 
 
-def device_encrypt(token: SecurityToken | None, key_sel: KeySelector,
-                   plaintext: bytes) -> bytes:
-    """Seal ``plaintext`` under key1 or the device's own serial key."""
+def device_encrypt(token: SecurityToken | None, plaintext: bytes) -> bytes:
+    """Seal ``plaintext`` under key1."""
     token = _require(token)
-    if key_sel not in (KeySelector.KEY1, KeySelector.OWN_SERIAL):
-        raise ValueError("device_encrypt accepts KEY1 or OWN_SERIAL")
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    key = token._key_for(key_sel, None)
-    return crypto.seal(token._suite, key, token._rng, plaintext)
+    return crypto.seal(crypto.AES256GCM, token._key1, token._rng, plaintext)
 
 
-def device_decrypt(token: SecurityToken | None, key_sel: KeySelector,
-                   ciphertext: bytes, peer_serial: bytes | None = None) -> bytes:
-    """Open a sealed blob; tag failure means the sender is not legitimate."""
+def device_decrypt(token: SecurityToken | None, ciphertext: bytes) -> bytes:
+    """Open a key1 blob; tag failure means the sender is not legitimate."""
     token = _require(token)
-    if key_sel not in (KeySelector.KEY1, KeySelector.PEER_SERIAL):
-        raise ValueError("device_decrypt accepts KEY1 or PEER_SERIAL")
-    key = token._key_for(key_sel, peer_serial)
-    return crypto.open_sealed(token._suite, key, ciphertext)
+    return crypto.open_sealed(crypto.AES256GCM, token._key1, ciphertext)
 
 
 def device_session_encrypt(token: SecurityToken | None, serial: bytes,
@@ -267,14 +222,14 @@ def device_session_encrypt(token: SecurityToken | None, serial: bytes,
     """
     token = _require(token)
     key = crypto.kdf_session(token._key1, serial)
-    return crypto.seal(token._suite, key, token._rng, plaintext)
+    return crypto.seal(crypto.AES256GCM, key, token._rng, plaintext)
 
 
 def device_session_decrypt(token: SecurityToken | None, serial: bytes,
                            blob: bytes) -> bytes:
     token = _require(token)
     key = crypto.kdf_session(token._key1, serial)
-    return crypto.open_sealed(token._suite, key, blob)
+    return crypto.open_sealed(crypto.AES256GCM, key, blob)
 
 
 def device_sign(token: SecurityToken | None, data: bytes) -> bytes:

@@ -252,14 +252,12 @@ def test_acceptance_6_codec_robustness():
         # DEV wire byte + sealed serial length
         deployment = usbkey.DeploymentConfig(key1=rng.randbytes(32), seed=6)
         token = usbkey.create_token(b"SN00001", deployment, "probe")
-        dev = DevBody.from_sealed(usbkey.device_encrypt(
-            token, usbkey.KeySelector.KEY1, token.serial))
+        dev = DevBody.from_sealed(usbkey.device_encrypt(token, token.serial))
         wire = codec.encode_message(
             codec.build_message(b"A" * 8, b"\x00" * 8, [dev]))
         assert wire[16] == 55
         serial = usbkey.device_decrypt(
-            token, usbkey.KeySelector.KEY1,
-            codec.decode_message(wire).payloads[0].body.sealed)
+            token, codec.decode_message(wire).payloads[0].body.sealed)
         assert len(serial) == 7 and serial == b"SN00001"
 
 

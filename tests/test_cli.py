@@ -129,6 +129,16 @@ def test_attack_seed_flag_overrides_scenario_seed(capsys):
     assert json.loads(out)["seed"] == 99
 
 
+def test_attack_seed_defaults_to_the_scenario_file_not_the_env(capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("IKEDEV_SEED", "99")
+    code, out, _ = run_cli(capsys, "attack", "--scenario",
+                           "scenarios/observed-honest.json",
+                           "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7    # the seed written in the file
+
+
 def test_attack_structured_equals_table_verdicts(capsys):
     _, out_s, _ = run_cli(capsys, "attack", "--scenario",
                           "scenarios/flood-improved.json",
@@ -155,6 +165,16 @@ def test_matrix_ascii_rendering(capsys):
     assert code == 0
     assert "O" in out and "x" in out
     assert "○" not in out and "×" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("handshake",),
+    ("attack", "--scenario", "scenarios/observed-honest.json"),
+])
+def test_ascii_is_a_matrix_only_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--ascii"])
+    assert exc.value.code == 2
 
 
 def test_matrix_structured_document(capsys):

@@ -124,14 +124,6 @@ def test_payload_chain_round_trip(bodies):
     assert codec.parse_payload_chain(plain) == payloads
 
 
-def test_sealed_chain_round_trip():
-    rng = random.Random(11)
-    key = rng.randbytes(32)
-    payloads = codec.link_payloads([SaBody(b"p"), NonceBody(b"n" * 16)])
-    blob = codec.encrypt_payload_chain(key, payloads, rng)
-    assert codec.decrypt_payload_chain(key, blob) == payloads
-
-
 # --- named decode errors, with offsets ---------------------------------------
 
 def test_short_header_truncated_at_data_end():

@@ -214,11 +214,6 @@ def test_open_sealed_too_short_is_malformed():
         crypto.open_sealed(crypto.AES256GCM, b"\x00" * 32, b"\x00" * 31)
 
 
-def test_get_cipher_unknown_name():
-    with pytest.raises(ValueError):
-        crypto.get_cipher("rot13")
-
-
 # --- signatures ------------------------------------------------------------
 
 def test_ed25519_rfc8032_test_1():

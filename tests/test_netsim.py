@@ -1,8 +1,10 @@
 """Adversarial simulator tests: scripting, observation, verdict derivation."""
 
+import dataclasses
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,25 @@ def test_battery_reports_match_the_recorded_digest():
             for cfg in battery_configs(variant, seed):
                 digest.update(run_scenario(cfg).to_json())
     assert digest.hexdigest() == BATTERY_DIGEST
+
+
+# The gate-off battery of seeds 0-1, then every shipped scenario at seeds 0-1.
+GATE_OFF_AND_SCENARIOS_DIGEST = (
+    "838c1b49fdc2f3d060bc93e01c3bd4c730b5b4da9c42bc36fe4e94ec8d9e9933")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_gate_off_battery_and_shipped_scenarios_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(2):
+        for variant in (Variant.BASELINE, Variant.IMPROVED):
+            for cfg in battery_configs(variant, seed, disable_dos_gate=True):
+                digest.update(run_scenario(cfg).to_json())
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        for seed in range(2):
+            cfg = dataclasses.replace(netsim.load_scenario(str(path)), seed=seed)
+            digest.update(run_scenario(cfg).to_json())
+    assert digest.hexdigest() == GATE_OFF_AND_SCENARIOS_DIGEST
 
 
 # --- provisioning ------------------------------------------------------------
@@ -173,6 +194,17 @@ def test_tamper_selector_misses():
         tamper_in_flight(base[0], TamperSelector(offset=10_000), 1)
     with pytest.raises(SelectorMiss):   # unparseable message
         tamper_in_flight(b"\x00" * 10, TamperSelector(payload="SA"), 1)
+
+
+def test_negative_payload_offset_is_a_selector_miss():
+    from conftest import Fleet, drive_handshake
+    base = drive_handshake(*Fleet().pair(Variant.BASELINE))
+    with pytest.raises(SelectorMiss):   # would reach the generic header
+        tamper_in_flight(base[0], TamperSelector(payload="KE", offset=-3), 1)
+    for variant, payload in ((Variant.BASELINE, "KE"), (Variant.IMPROVED, "SA")):
+        with pytest.raises(SelectorMiss):   # in the clear chain, or the blob
+            run_scenario(scenario(variant=variant, seed=1, adversary=[
+                Tamper(message=0, payload=payload, offset=-3)]))
 
 
 def test_raw_offset_tamper_flips_exactly_one_byte():
@@ -302,6 +334,10 @@ def test_from_dict_round_trip_minimal():
     ({"adversary": [{"action": "observe", "knowledge": "psychic"}]},
      "knowledge"),
     ({"adversary": [{"action": "flood", "count": 5, "volume": 11}]},
+     "unknown"),
+    ({"adversary": [{"action": "tamper", "message": 0, "payload": "KE",
+                     "offset": -3}]}, "offset"),
+    ({"adversary": [{"action": "replay", "message": 0, "delay": 5}]},
      "unknown"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):

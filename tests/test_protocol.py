@@ -19,7 +19,7 @@ from ikedev.protocol import (
     SessionState,
     Variant,
 )
-from ikedev.usbkey import KeySelector, device_encrypt, device_session_encrypt
+from ikedev.usbkey import device_encrypt, device_session_encrypt
 
 
 # --- honest ladder -----------------------------------------------------------
@@ -174,7 +174,7 @@ def test_gate_rejects_wrong_length_serial(fleet):
     _, rsp = fleet.pair(Variant.IMPROVED)
     token = fleet.tokens["alice"]
     # a genuine key1 seal, but of a 9-byte record
-    sealed = device_encrypt(token, KeySelector.KEY1, b"AB1234567")
+    sealed = device_encrypt(token, b"AB1234567")
     msg = codec.build_message(
         rng.randbytes(8), b"\x00" * 8, [DevBody.from_sealed(sealed)],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=rng.randbytes(64))
@@ -243,7 +243,7 @@ def test_improved_rejects_degenerate_public_value_after_gate(fleet):
               KeBody(crypto.DESK_GROUP.encode(1)),
               NonceBody(rng.randbytes(16)), IdBody(2, b"alice")]
     dev = DevBody.from_sealed(
-        device_encrypt(token, KeySelector.KEY1, token.serial))
+        device_encrypt(token, token.serial))
     blob = device_session_encrypt(
         token, token.serial,
         codec.serialize_payload_chain(codec.link_payloads(bodies)))

@@ -92,8 +92,8 @@ def test_absent_device_raises_everywhere():
     for call in (
         lambda: usbkey.device_get_serial(None),
         lambda: usbkey.device_get_certificate(None),
-        lambda: usbkey.device_encrypt(None, usbkey.KeySelector.KEY1, b"x"),
-        lambda: usbkey.device_decrypt(None, usbkey.KeySelector.KEY1, b"x" * 33),
+        lambda: usbkey.device_encrypt(None, b"x"),
+        lambda: usbkey.device_decrypt(None, b"x" * 33),
         lambda: usbkey.device_sign(None, b"x"),
         lambda: usbkey.device_session_encrypt(None, b"AB12345", b"x"),
         lambda: usbkey.region_access(None, RegionId.USER_DATA, RegionOp.READ),
@@ -105,30 +105,22 @@ def test_absent_device_raises_everywhere():
 # --- sealed operations -----------------------------------------------------
 
 def test_key1_seal_opens_on_any_fleet_device(token, peer):
-    blob = usbkey.device_encrypt(token, usbkey.KeySelector.KEY1, b"fleet secret")
-    assert usbkey.device_decrypt(peer, usbkey.KeySelector.KEY1, blob) == b"fleet secret"
+    blob = usbkey.device_encrypt(token, b"fleet secret")
+    assert usbkey.device_decrypt(peer, blob) == b"fleet secret"
+
+
+def test_deployment_rejects_a_key1_of_the_wrong_length():
+    for size in (16, 31, 33):
+        with pytest.raises(ValueError):
+            usbkey.DeploymentConfig(key1=b"\x01" * size)
 
 
 def test_foreign_deployment_cannot_open_key1_blob(token):
     other = usbkey.DeploymentConfig(key1=b"\x99" * 32, seed=9)
     stranger = usbkey.create_token(b"ZZ99999", other, "mallory")
-    blob = usbkey.device_encrypt(token, usbkey.KeySelector.KEY1, b"fleet secret")
+    blob = usbkey.device_encrypt(token, b"fleet secret")
     with pytest.raises(AuthFailure):
-        usbkey.device_decrypt(stranger, usbkey.KeySelector.KEY1, blob)
-
-
-def test_serial_key_seal_unseals_with_matching_peer_serial(token, peer):
-    blob = usbkey.device_encrypt(token, usbkey.KeySelector.OWN_SERIAL, b"for bob")
-    out = usbkey.device_decrypt(peer, usbkey.KeySelector.PEER_SERIAL, blob,
-                                peer_serial=b"AB12345")
-    assert out == b"for bob"
-
-
-def test_serial_key_wrong_serial_fails_auth(token, peer):
-    blob = usbkey.device_encrypt(token, usbkey.KeySelector.OWN_SERIAL, b"for bob")
-    with pytest.raises(AuthFailure):
-        usbkey.device_decrypt(peer, usbkey.KeySelector.PEER_SERIAL, blob,
-                              peer_serial=b"CD67890")
+        usbkey.device_decrypt(stranger, blob)
 
 
 def test_session_seal_round_trip_between_fleet_devices(token, peer):
@@ -141,7 +133,7 @@ def test_session_seal_round_trip_between_fleet_devices(token, peer):
 
 def test_device_encrypt_rejects_empty_plaintext(token):
     with pytest.raises(ValueError):
-        usbkey.device_encrypt(token, usbkey.KeySelector.KEY1, b"")
+        usbkey.device_encrypt(token, b"")
 
 
 def test_sign_verifies_under_certificate_key(token):
@@ -214,7 +206,7 @@ def test_key_material_never_leaks_through_readable_surfaces(token, deployment):
         for surface in readable:
             assert secret not in surface
         # not even in a sealed blob (AEAD output must not embed the key)
-        blob = usbkey.device_encrypt(token, usbkey.KeySelector.KEY1, b"probe")
+        blob = usbkey.device_encrypt(token, b"probe")
         assert secret not in blob
 
 
