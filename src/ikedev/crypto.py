@@ -8,6 +8,7 @@ sealing, Ed25519 for signatures and HMAC-SHA256 as the PRF.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import random
@@ -81,12 +82,51 @@ _MODP2048_P = int(
 MODP2048_GROUP = DhGroup(name="modp2048", p=_MODP2048_P, g=2, exponent_bits=256)
 
 
+# Exponent bits per row of a fixed-base table: one table lookup and at most
+# one modular multiplication per window of the exponent.  A window is one
+# byte, because dh_keypair splits the exponent with int.to_bytes.
+_WINDOW_BITS = 8
+
+
+@functools.cache
+def _fixed_base_table(group: DhGroup) -> tuple[tuple[int, ...], ...]:
+    """Row i holds g^(d * 2^(8i)) mod p for every window digit d < 256.
+
+    Fixed-base windowing (HAC section 14.6.3): with the rows precomputed,
+    g^x is the product of one entry per 8-bit window of x, little end
+    first, and needs no squarings.  The table is a pure function of the
+    group, so one copy per group serves every caller in the process.
+    """
+    rows = []
+    base = group.g
+    for _ in range(-(-group.exponent_bits // _WINDOW_BITS)):
+        row = [1]
+        for _ in range((1 << _WINDOW_BITS) - 1):
+            row.append(row[-1] * base % group.p)
+        rows.append(tuple(row))
+        base = row[-1] * base % group.p
+    return tuple(rows)
+
+
 def dh_keypair(group: DhGroup, rng: random.Random) -> tuple[int, bytes]:
-    """Fresh secret exponent and its public value g^x mod p (fixed width)."""
+    """Fresh secret exponent and its public value g^x mod p (fixed width).
+
+    g^x is read off the group's fixed-base table (``_fixed_base_table``):
+    ceil(exponent_bits / 8) modular multiplications, 32 on ``modp2048``,
+    in place of the ~256 squarings of ``pow``.  The table is built on the
+    first keypair of each group and kept for the life of the process; on
+    ``modp2048`` that first call costs ~150 ms more and the table holds
+    ~2.4 MB; on ``desk64``, under 1 ms and ~80 KB.
+    """
     x = 0
     while not 1 <= x <= group.p - 2:
         x = rng.getrandbits(group.exponent_bits)
-    return x, group.encode(pow(group.g, x, group.p))
+    table = _fixed_base_table(group)
+    gx = 1
+    for row, digit in zip(table, x.to_bytes(len(table), "little")):
+        if digit:
+            gx = gx * row[digit] % group.p
+    return x, group.encode(gx)
 
 
 def dh_shared(group: DhGroup, x: int, peer_gx: bytes) -> bytes:

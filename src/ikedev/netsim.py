@@ -311,10 +311,10 @@ def _body_plaintext(body: codec.Body) -> bytes:
     raise TypeError(type(body))
 
 
-def observe(data: bytes, knowledge: ObserverKnowledge,
+def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
             token: SecurityToken | None = None,
             known_serials: set[bytes] | None = None) -> list[Finding]:
-    """What an eavesdropper recovers from one datagram.
+    """What an eavesdropper recovers from one decoded datagram.
 
     Rules: a DEV body is ciphertext and never yields plaintext by itself; a
     CERT body is readable iff its encoding byte is not the sealed marker; a
@@ -325,10 +325,6 @@ def observe(data: bytes, knowledge: ObserverKnowledge,
     place) lets a stateful observer carry serials across a transcript —
     message 3 has no DEV payload of its own.
     """
-    try:
-        msg = codec.decode_message(data)
-    except CodecError:
-        return []
     has_key1 = (knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN
                 and token is not None)
     serials = known_serials if known_serials is not None else set()
@@ -600,9 +596,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     def transmit(wire: bytes, src: str, dst: str,
                  kind: str) -> codec.IsakmpMessage | None:
-        """Carry one datagram to ``dst`` and decode it once, for the log and
-        for ``dst``; a datagram ``dst`` cannot decode is recorded in the
-        failure trace and yields None."""
+        """Carry one datagram to ``dst`` and decode it once, for the
+        observers, the log and ``dst``; a datagram that does not decode is
+        recorded in the failure trace, shown to no observer and yields
+        None."""
         index = len(transcript)
         tampered = False
         for action in tampers:
@@ -623,21 +620,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                     action.xor)
             tampered = True
         transcript.append((wire, src, dst, kind))
-        for obs in observers:
-            for finding in observe(wire, obs.knowledge, obs.token,
-                                   obs.known_serials):
-                obs.findings.append({"message": index,
-                                     "payload": finding.payload,
-                                     "hex": finding.plaintext.hex()})
         try:
             decoded = codec.decode_message(wire)
-            payload_names = [p.type.name for p in decoded.payloads]
-            blob_bytes = len(decoded.encrypted_chain or b"")
         except CodecError as exc:
             decoded = None
             payload_names, blob_bytes = [], 0
             failure_trace.append({"principal": dst, "op": "decode",
                                   "failure": f"codec:{type(exc).__name__}"})
+        else:
+            payload_names = [p.type.name for p in decoded.payloads]
+            blob_bytes = len(decoded.encrypted_chain or b"")
+            for obs in observers:
+                for finding in observe(decoded, obs.knowledge, obs.token,
+                                       obs.known_serials):
+                    obs.findings.append({"message": index,
+                                         "payload": finding.payload,
+                                         "hex": finding.plaintext.hex()})
         message_log.append({"index": index, "src": src, "dst": dst,
                             "kind": kind, "size": len(wire),
                             "payloads": payload_names,

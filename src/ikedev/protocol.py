@@ -29,7 +29,6 @@ verification instead of leaving the echo entirely unauthenticated.
 from __future__ import annotations
 
 import random
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -135,26 +134,24 @@ class TransitionEvent:
 
 
 class ReplayGuard:
-    """Bounded LRU set of seen DEV nonces with atomic test-and-insert.
+    """Bounded LRU set of seen DEV nonces with test-and-insert.
 
-    Shared by all of one responder's sessions; everything else in a session
-    is single-owner.
+    Shared by all of one responder's sessions, which run in one thread;
+    everything else in a session is single-owner.
     """
 
     def __init__(self, capacity: int = REPLAY_WINDOW):
         self.capacity = capacity
         self._seen: OrderedDict[bytes, None] = OrderedDict()
-        self._lock = threading.Lock()
 
     def seen_before(self, nonce: bytes) -> bool:
-        with self._lock:
-            if nonce in self._seen:
-                self._seen.move_to_end(nonce)
-                return True
-            self._seen[nonce] = None
-            if len(self._seen) > self.capacity:
-                self._seen.popitem(last=False)
-            return False
+        if nonce in self._seen:
+            self._seen.move_to_end(nonce)
+            return True
+        self._seen[nonce] = None
+        if len(self._seen) > self.capacity:
+            self._seen.popitem(last=False)
+        return False
 
     def __len__(self) -> int:
         return len(self._seen)

@@ -2,11 +2,16 @@
 
 The PRF is checked against an RFC 4231 vector and a from-scratch
 ipad/opad construction; signatures against RFC 8032 TEST 1; the DH layer
-against hand-sized numbers small enough to verify on paper.
+against hand-sized numbers small enough to verify on paper, and the
+fixed-base keypair against ``pow``.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +46,75 @@ def test_dh_symmetry_many_pairs():
         xa, ga = crypto.dh_keypair(group, rng)
         xb, gb = crypto.dh_keypair(group, rng)
         assert crypto.dh_shared(group, xa, gb) == crypto.dh_shared(group, xb, ga)
+
+
+def test_dh_symmetry_modp2048():
+    rng = random.Random(102)
+    group = crypto.MODP2048_GROUP
+    for _ in range(3):
+        xa, ga = crypto.dh_keypair(group, rng)
+        xb, gb = crypto.dh_keypair(group, rng)
+        assert crypto.dh_shared(group, xa, gb) == crypto.dh_shared(group, xb, ga)
+
+
+class _FixedExponent:
+    """Stands in for the RNG so dh_keypair draws exactly ``x``."""
+
+    def __init__(self, x: int):
+        self.x = x
+
+    def getrandbits(self, bits: int) -> int:
+        return self.x
+
+
+GROUPS = [crypto.DESK_GROUP, crypto.MODP2048_GROUP]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_dh_keypair_matches_pow_at_window_edges(group):
+    bits = group.exponent_bits
+    windows = -(-bits // 8)
+    exponents = [
+        1,
+        2**bits - 1,                                   # every window 0xff
+        0xA5 << 8 * (windows // 2),                    # one nonzero window
+        (0x01 << 8 * (windows - 1)) | (0x80 << 8) | 0x7F,  # zero windows between
+    ]
+    for x in exponents:
+        assert crypto.dh_keypair(group, _FixedExponent(x)) == (
+            x, group.encode(pow(group.g, x, group.p)))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_dh_keypair_matches_pow_on_seeded_draws(group):
+    rng = random.Random(103)
+    for _ in range(50):
+        x, gx = crypto.dh_keypair(group, rng)
+        assert gx == group.encode(pow(group.g, x, group.p))
+
+
+# SHA-256 over the first 20 modp2048 public values drawn from
+# random.Random(7), recorded while dh_keypair still called pow.
+MODP2048_PUBLIC_DIGEST = (
+    "680134f6e4bad7aea072f92fb0172c87ad19ebbe579459969cf651ef164ab3ea")
+
+
+def test_modp2048_public_values_match_the_recorded_digest():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        digest.update(crypto.dh_keypair(crypto.MODP2048_GROUP, rng)[1])
+    assert digest.hexdigest() == MODP2048_PUBLIC_DIGEST
+
+
+def test_importing_ikedev_builds_no_fixed_base_table():
+    code = ("import ikedev, ikedev.cli, ikedev.netsim, ikedev.crypto as c; "
+            "print(c._fixed_base_table.cache_info().currsize)")
+    src = str(Path(crypto.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("value", [0, 1])

@@ -278,13 +278,41 @@ def test_insider_observer_recovers_improved_plaintext():
 def test_observe_function_is_pure_for_blind_knowledge():
     from conftest import Fleet, drive_handshake
     wires = drive_handshake(*Fleet().pair(Variant.BASELINE))
-    findings = observe(wires[0], ObserverKnowledge.NONE)
+    msg1 = codec.decode_message(wires[0])
+    findings = observe(msg1, ObserverKnowledge.NONE)
     assert {f.payload for f in findings} == {"SA", "KE", "NONCE", "ID"}
-    assert observe(wires[0], ObserverKnowledge.NONE) == findings
+    assert observe(msg1, ObserverKnowledge.NONE) == findings
 
 
 def test_observer_handles_garbage_datagrams():
-    assert observe(b"\xde\xad\xbe\xef", ObserverKnowledge.NONE) == []
+    # byte 17 is the header version: message 1 does not decode, so the
+    # observer is not shown it and the failure is traced once
+    observer = Observe(ObserverKnowledge.NONE)
+    clear = run_scenario(scenario(variant=Variant.BASELINE,
+                                  adversary=[observer]))
+    assert any(f["message"] == 0 for f in clear.observer_findings)
+    report = run_scenario(scenario(
+        variant=Variant.BASELINE,
+        adversary=[observer, Tamper(message=0, offset=17)]))
+    assert not any(f["message"] == 0 for f in report.observer_findings)
+    assert report.failure_trace == [
+        {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
+
+
+def test_observed_datagrams_are_decoded_once(monkeypatch):
+    decode = codec.decode_message
+    decoded = []
+
+    def counting_decode(data):
+        decoded.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(codec, "decode_message", counting_decode)
+    for knowledge in ObserverKnowledge:
+        decoded.clear()
+        report = run_scenario(scenario(adversary=[Observe(knowledge)]))
+        assert report.established is True
+        assert len(decoded) == len(report.message_log) == 3
 
 
 # --- replay scenarios --------------------------------------------------------------
