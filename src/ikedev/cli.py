@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -135,18 +136,10 @@ def _print_counters(report: netsim.ScenarioReport) -> None:
     for name, counters in report.principal_counters.items():
         fields = ", ".join(f"{k}={v}" for k, v in counters.items())
         _emit(f"counters[{name}]: {fields}")
-    run_start = 0
-    trace = report.failure_trace
-    for i in range(len(trace) + 1):
-        if i < len(trace) and trace[i] == trace[run_start]:
-            continue
-        if i > run_start:
-            event = trace[run_start]
-            line = (f"failure: {event['principal']} {event['op']}: "
-                    f"{event['failure']}")
-            count = i - run_start
-            _emit(line if count == 1 else f"{line} (x{count})")
-        run_start = i
+    for event, run in itertools.groupby(report.failure_trace):
+        line = f"failure: {event['principal']} {event['op']}: {event['failure']}"
+        count = sum(1 for _ in run)
+        _emit(line if count == 1 else f"{line} (x{count})")
 
 
 # ---------------------------------------------------------------------------

@@ -209,42 +209,29 @@ def _encode_body(body: Body) -> bytes:
     raise TypeError(f"unknown body {type(body)!r}")
 
 
+_BODY_PARSERS = {
+    PayloadType.SA: SaBody,
+    PayloadType.KE: KeBody,
+    PayloadType.NONCE: NonceBody,
+    PayloadType.ID: lambda data: IdBody(data[0], data[1:]),
+    PayloadType.CERT: lambda data: CertBody(data[0], data[1:]),
+    PayloadType.SIG: SigBody,
+    PayloadType.DEV: lambda data: DevBody(
+        nonce=data[1:1 + DEV_NONCE_LEN], ciphertext=data[1 + DEV_NONCE_LEN:],
+        format_version=data[0]),
+}
+
+
 def _parse_body(ptype: PayloadType, data: bytes, base: int) -> Body:
-    n = len(data)
-    if ptype == PayloadType.SA:
-        if n < 1:
-            raise BadLength("empty SA body", base)
-        return SaBody(data)
-    if ptype == PayloadType.KE:
-        if n < 1:
-            raise BadLength("empty KE body", base)
-        return KeBody(data)
-    if ptype == PayloadType.NONCE:
-        if not NONCE_MIN <= n <= NONCE_MAX:
-            raise BadLength(f"nonce body of {n} bytes outside bounds", base)
-        return NonceBody(data)
-    if ptype == PayloadType.ID:
-        if n < 1:
-            raise BadLength("ID body needs an id_type byte", base)
-        return IdBody(data[0], data[1:])
-    if ptype == PayloadType.CERT:
-        if n < 1:
-            raise BadLength("CERT body needs an encoding byte", base)
-        return CertBody(data[0], data[1:])
-    if ptype == PayloadType.SIG:
-        if n < 1:
-            raise BadLength("empty SIG body", base)
-        return SigBody(data)
-    if ptype == PayloadType.DEV:
-        if n < 1 + DEV_NONCE_LEN + DEV_TAG_LEN:
-            raise BadLength(
-                f"DEV body of {n} bytes below minimum "
-                f"{1 + DEV_NONCE_LEN + DEV_TAG_LEN}", base)
-        if data[0] != DEV_FORMAT_VERSION:
-            raise BadVersion(f"DEV format version {data[0]}", base)
-        return DevBody(nonce=data[1:1 + DEV_NONCE_LEN],
-                       ciphertext=data[1 + DEV_NONCE_LEN:])
-    raise UnknownPayloadType(f"payload type {int(ptype)}", base)
+    """Build the body; its type's own checks are the size rules."""
+    try:
+        body = _BODY_PARSERS[ptype](data)
+    except (ValueError, IndexError) as exc:
+        raise BadLength(f"{ptype.name} body of {len(data)} bytes: {exc}",
+                        base) from None
+    if ptype == PayloadType.DEV and body.format_version != DEV_FORMAT_VERSION:
+        raise BadVersion(f"DEV format version {body.format_version}", base)
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from . import codec, crypto
@@ -152,9 +152,7 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario must be a JSON object")
-        known = {"name", "variant", "seed", "principals", "adversary",
-                 "handshake", "disable_dos_gate"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown scenario fields: {sorted(extra)}")
         try:
@@ -225,8 +223,11 @@ def _action_from_dict(raw: dict) -> Action:
             offset = int(raw.get("offset", 0))
             if offset < 0:
                 raise ConfigError("tamper offset must be >= 0")
+            message = int(raw["message"])
+            if message < 0:
+                raise ConfigError("tamper message must be >= 0")
             payload = raw.get("payload")
-            return Tamper(message=int(raw["message"]),
+            return Tamper(message=message,
                           payload=None if payload is None else str(payload),
                           offset=offset, xor=xor,
                           fallback_to_blob=bool(raw.get("fallback_to_blob", True)))
@@ -257,35 +258,36 @@ def load_scenario(path: str) -> ScenarioConfig:
 # Adversary primitives
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TamperSelector:
-    payload: str | None = None
-    offset: int = 0
+def tamper_in_flight(data: bytes, action: Tamper) -> bytes:
+    """Flip the byte of ``data`` that ``action`` selects; the header length
+    field is never invalidated because the mutation preserves size.
 
-
-def tamper_in_flight(data: bytes, selector: TamperSelector, xor: int) -> bytes:
-    """Flip one byte; the header length field is never invalidated because
-    the mutation preserves size."""
-    if selector.payload is not None:
+    Without a payload the offset counts from the start of the datagram.
+    With one it counts from the first clear-chain body of that type, or,
+    when that misses and ``fallback_to_blob`` is set, from the start of the
+    encrypted blob, which begins where the clear chain ends.
+    """
+    pos = action.offset
+    if action.payload is not None:
         try:
             ranges = codec.payload_byte_ranges(data)
         except CodecError as exc:
             raise SelectorMiss(f"message undecodable: {exc}") from None
-        wanted = selector.payload.upper()
-        for rng in ranges:
-            if rng.type.name == wanted:
-                pos = rng.body_start + selector.offset
-                if not rng.body_start <= pos < rng.body_end:
-                    raise SelectorMiss(
-                        f"offset {selector.offset} outside {wanted} body")
-                break
+        wanted = action.payload.upper()
+        body = next((r for r in ranges if r.type.name == wanted), None)
+        if body is not None and 0 <= pos < body.body_end - body.body_start:
+            pos += body.body_start
         else:
-            raise SelectorMiss(f"no {wanted} payload in clear chain")
-    else:
-        pos = selector.offset
-        if not 0 <= pos < len(data):
-            raise SelectorMiss(f"offset {pos} beyond message of {len(data)} bytes")
-    return data[:pos] + bytes([data[pos] ^ (xor & 0xFF)]) + data[pos + 1:]
+            blob_start = ranges[-1].body_end if ranges else codec.HEADER_LEN
+            if not (action.fallback_to_blob
+                    and 0 <= pos < len(data) - blob_start):
+                raise SelectorMiss(
+                    f"offset {pos} is in no clear {wanted} body"
+                    + (" and beyond the blob" if action.fallback_to_blob else ""))
+            pos += blob_start
+    if not 0 <= pos < len(data):
+        raise SelectorMiss(f"offset {pos} beyond message of {len(data)} bytes")
+    return data[:pos] + bytes([data[pos] ^ (action.xor & 0xFF)]) + data[pos + 1:]
 
 
 @dataclass(frozen=True)
@@ -331,14 +333,19 @@ def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
     findings: list[Finding] = []
     serials_here: list[bytes] = []
 
-    def unseal_with_serials(blob: bytes) -> bytes | None:
+    def open_with_serials(open_one) -> bytes | None:
+        """What ``open_one(serial)`` opens under the first known serial that
+        works, this datagram's own serials first; None if none does."""
         for serial in serials_here + sorted(serials - set(serials_here)):
             try:
-                return crypto.open_sealed(crypto.AES256GCM,
-                                          crypto.kdf_serial(serial), blob)
+                return open_one(serial)
             except (AuthFailure, MalformedCiphertext):
                 continue
         return None
+
+    def unseal(blob: bytes) -> bytes | None:
+        return open_with_serials(lambda serial: crypto.open_sealed(
+            crypto.AES256GCM, crypto.kdf_serial(serial), blob))
 
     for payload in msg.payloads:
         body = payload.body
@@ -356,34 +363,28 @@ def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
             if body.encoding != CERT_ENCODING_SEALED:
                 findings.append(Finding("CERT", body.certificate))
             elif has_key1:
-                plain = unseal_with_serials(body.certificate)
+                plain = unseal(body.certificate)
                 if plain is not None:
                     findings.append(Finding("CERT", plain))
         elif isinstance(body, codec.SigBody):
             if not msg.header.encrypted:
                 findings.append(Finding("SIG", body.signature))
             elif has_key1:
-                plain = unseal_with_serials(body.signature)
+                plain = unseal(body.signature)
                 if plain is not None:
                     findings.append(Finding("SIG", plain))
         else:
             findings.append(Finding(payload.type.name, _body_plaintext(body)))
 
     if msg.encrypted_chain is not None and has_key1:
-        for serial in serials_here + sorted(serials - set(serials_here)):
-            try:
-                plain = device_session_decrypt(token, serial,
-                                               msg.encrypted_chain)
-            except (AuthFailure, MalformedCiphertext):
-                continue
-            try:
-                inner = codec.parse_payload_chain(plain)
-            except CodecError:
-                break
-            for payload in inner:
-                findings.append(Finding(payload.type.name,
-                                        _body_plaintext(payload.body)))
-            break
+        plain = open_with_serials(lambda serial: device_session_decrypt(
+            token, serial, msg.encrypted_chain))
+        try:
+            inner = codec.parse_payload_chain(plain) if plain is not None else []
+        except CodecError:
+            inner = []
+        findings.extend(Finding(payload.type.name, _body_plaintext(payload.body))
+                        for payload in inner)
     return findings
 
 
@@ -531,6 +532,12 @@ def build_principals(seed: int, variant: Variant,
     return principals
 
 
+# The session step that takes a datagram of each kind.  Looked up by name on
+# the session at each call, so a method rebound on the class is honoured.
+_STEP = {"msg1": "responder_on_msg1", "flood": "responder_on_msg1",
+         "msg2": "initiator_on_msg2", "msg3": "responder_on_msg3"}
+
+
 def run_ladder(ini: HandshakeSession, rsp: HandshakeSession, carry) -> None:
     """Drive one handshake: ``initiator_start``, then the three steps.
 
@@ -539,19 +546,17 @@ def run_ladder(ini: HandshakeSession, rsp: HandshakeSession, carry) -> None:
     decodes, or None if nothing arrives.  The ladder stops at the first
     step that sends nothing; a step that finds no device sends nothing.
     """
-    steps = ((ini, rsp, "msg1", rsp.responder_on_msg1),
-             (rsp, ini, "msg2", ini.initiator_on_msg2),
-             (ini, rsp, "msg3", rsp.responder_on_msg3))
     try:
         outgoing = ini.initiator_start()
-        for src, dst, kind, step in steps:
+        for src, dst, kind in ((ini, rsp, "msg1"), (rsp, ini, "msg2"),
+                               (ini, rsp, "msg3")):
             if outgoing is None:
                 return
             received = carry(codec.encode_message(outgoing), src.name,
                              dst.name, kind)
             if received is None:
                 return
-            outgoing = step(received)
+            outgoing = getattr(dst, _STEP[kind])(received)
     except DeviceAbsent:
         return
 
@@ -594,31 +599,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                       "op": event.op,
                                       "failure": event.failure})
 
-    def transmit(wire: bytes, src: str, dst: str,
-                 kind: str) -> codec.IsakmpMessage | None:
+    def transmit(wire: bytes, src: str, dst: str, kind: str,
+                 label: str | None = None) -> codec.IsakmpMessage | None:
         """Carry one datagram to ``dst`` and decode it once, for the
         observers, the log and ``dst``; a datagram that does not decode is
         recorded in the failure trace, shown to no observer and yields
-        None."""
+        None.  ``kind`` picks the step that takes the datagram and is kept
+        in the transcript; the log shows ``label`` instead when given."""
         index = len(transcript)
-        tampered = False
-        for action in tampers:
-            if action.message != index:
-                continue
-            selector = TamperSelector(payload=action.payload,
-                                      offset=action.offset)
-            try:
-                wire = tamper_in_flight(wire, selector, action.xor)
-            except SelectorMiss:
-                if not (action.payload and action.fallback_to_blob):
-                    raise
-                blob = codec.encrypted_chain_range(wire)
-                if blob is None or not 0 <= action.offset < blob[1] - blob[0]:
-                    raise
-                wire = tamper_in_flight(
-                    wire, TamperSelector(offset=blob[0] + action.offset),
-                    action.xor)
-            tampered = True
+        hits = [action for action in tampers if action.message == index]
+        for action in hits:
+            wire = tamper_in_flight(wire, action)
         transcript.append((wire, src, dst, kind))
         try:
             decoded = codec.decode_message(wire)
@@ -637,10 +628,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                          "payload": finding.payload,
                                          "hex": finding.plaintext.hex()})
         message_log.append({"index": index, "src": src, "dst": dst,
-                            "kind": kind, "size": len(wire),
+                            "kind": label or kind, "size": len(wire),
                             "payloads": payload_names,
                             "blob_bytes": blob_bytes,
-                            "tampered": tampered, "delivered": True})
+                            "tampered": bool(hits), "delivered": True})
         return decoded
 
     def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
@@ -650,12 +641,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         if msg is None:
             return
         try:
-            if kind in ("msg1", "flood"):
-                session.responder_on_msg1(msg)
-            elif kind == "msg2":
-                session.initiator_on_msg2(msg)
-            else:
-                session.responder_on_msg3(msg)
+            getattr(session, _STEP[kind])(msg)
         except DeviceAbsent:
             pass
         drain(principal, session)
@@ -700,9 +686,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 f"replay index {action.message} out of range "
                 f"({len(transcript)} messages captured)")
         wire, _, dst, kind = transcript[action.message]
-        msg = transmit(wire, "adversary", dst, "replay")
-        replay_kind = kind if kind != "replay" else "msg1"
-        deliver_to_fresh(principals[dst], msg, replay_kind)
+        msg = transmit(wire, "adversary", dst, kind, label="replay")
+        deliver_to_fresh(principals[dst], msg, kind)
 
     report = ScenarioReport(
         scenario=config.name,

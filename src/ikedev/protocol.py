@@ -123,15 +123,6 @@ class TransitionEvent:
     failure: str | None
     counters: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "state": self.state,
-            "emitted": self.emitted,
-            "failure": self.failure,
-            "counters": dict(self.counters),
-        }
-
 
 class ReplayGuard:
     """Bounded LRU set of seen DEV nonces with test-and-insert.
@@ -371,10 +362,7 @@ class HandshakeSession:
 
     def responder_on_msg1(self, msg: IsakmpMessage) -> IsakmpMessage | None:
         op = "responder_on_msg1"
-        if self.role is not Role.RESPONDER:
-            self._fail(op, "out-of-order")
-            return None
-        if self.state is not SessionState.IDLE:
+        if self.role is not Role.RESPONDER or self.state is not SessionState.IDLE:
             self._fail(op, "out-of-order")
             return None
         self._require_token(op)

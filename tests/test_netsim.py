@@ -20,7 +20,6 @@ from ikedev.netsim import (
     Replay,
     ScenarioConfig,
     Tamper,
-    TamperSelector,
     battery_configs,
     observe,
     run_matrix,
@@ -173,7 +172,7 @@ def test_tamper_selector_by_payload_type():
     from conftest import Fleet, drive_handshake
     fleet = Fleet()
     wires = drive_handshake(*fleet.pair(Variant.BASELINE))
-    out = tamper_in_flight(wires[0], TamperSelector(payload="KE"), 0x01)
+    out = tamper_in_flight(wires[0], Tamper(message=0, payload="KE"))
     assert len(out) == len(wires[0])
     diff = [i for i in range(len(out)) if out[i] != wires[0][i]]
     ranges = {r.type.name: r for r in codec.payload_byte_ranges(wires[0])}
@@ -187,20 +186,21 @@ def test_tamper_selector_misses():
     improved = drive_handshake(*fleet.pair(Variant.IMPROVED))
 
     with pytest.raises(SelectorMiss):   # SA rides inside the sealed blob
-        tamper_in_flight(improved[0], TamperSelector(payload="SA"), 1)
+        tamper_in_flight(improved[0], Tamper(message=0, payload="SA",
+                                             fallback_to_blob=False))
     with pytest.raises(SelectorMiss):   # offset beyond the selected body
-        tamper_in_flight(base[0], TamperSelector(payload="KE", offset=500), 1)
+        tamper_in_flight(base[0], Tamper(message=0, payload="KE", offset=500))
     with pytest.raises(SelectorMiss):   # raw offset beyond the datagram
-        tamper_in_flight(base[0], TamperSelector(offset=10_000), 1)
+        tamper_in_flight(base[0], Tamper(message=0, offset=10_000))
     with pytest.raises(SelectorMiss):   # unparseable message
-        tamper_in_flight(b"\x00" * 10, TamperSelector(payload="SA"), 1)
+        tamper_in_flight(b"\x00" * 10, Tamper(message=0, payload="SA"))
 
 
 def test_negative_payload_offset_is_a_selector_miss():
     from conftest import Fleet, drive_handshake
     base = drive_handshake(*Fleet().pair(Variant.BASELINE))
     with pytest.raises(SelectorMiss):   # would reach the generic header
-        tamper_in_flight(base[0], TamperSelector(payload="KE", offset=-3), 1)
+        tamper_in_flight(base[0], Tamper(message=0, payload="KE", offset=-3))
     for variant, payload in ((Variant.BASELINE, "KE"), (Variant.IMPROVED, "SA")):
         with pytest.raises(SelectorMiss):   # in the clear chain, or the blob
             run_scenario(scenario(variant=variant, seed=1, adversary=[
@@ -209,9 +209,43 @@ def test_negative_payload_offset_is_a_selector_miss():
 
 def test_raw_offset_tamper_flips_exactly_one_byte():
     data = bytes(range(100))
-    out = tamper_in_flight(data, TamperSelector(offset=40), 0xFF)
+    out = tamper_in_flight(data, Tamper(message=0, offset=40, xor=0xFF))
     assert out[40] == data[40] ^ 0xFF
     assert out[:40] == data[:40] and out[41:] == data[41:]
+
+
+def test_blob_fallback_flips_the_offset_byte_of_the_blob():
+    from conftest import Fleet, drive_handshake
+    improved = drive_handshake(*Fleet().pair(Variant.IMPROVED))
+    for wire in improved[:2]:
+        out = tamper_in_flight(wire, Tamper(message=0, payload="SA", offset=5))
+        diff = [i for i in range(len(out)) if out[i] != wire[i]]
+        assert diff == [codec.encrypted_chain_range(wire)[0] + 5]
+    with pytest.raises(SelectorMiss):   # offset beyond the blob
+        tamper_in_flight(improved[0], Tamper(message=0, payload="SA",
+                                             offset=len(improved[0])))
+
+
+@pytest.fixture
+def decoded(monkeypatch) -> list[bytes]:
+    """Every datagram ``codec.decode_message`` is called on, in order."""
+    decode = codec.decode_message
+    calls = []
+
+    def counting_decode(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(codec, "decode_message", counting_decode)
+    return calls
+
+
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+@pytest.mark.parametrize("name", ["tamper-sa", "tamper-ke"])
+def test_tampered_datagrams_are_decoded_once_more(decoded, variant, name):
+    cfg = next(c for c in battery_configs(variant, seed=1) if c.name == name)
+    log = run_scenario(cfg).message_log
+    assert len(decoded) == len(log) + sum(m["tampered"] for m in log)
 
 
 def test_tamper_scenario_baseline_detected_late():
@@ -299,15 +333,7 @@ def test_observer_handles_garbage_datagrams():
         {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
 
 
-def test_observed_datagrams_are_decoded_once(monkeypatch):
-    decode = codec.decode_message
-    decoded = []
-
-    def counting_decode(data):
-        decoded.append(data)
-        return decode(data)
-
-    monkeypatch.setattr(codec, "decode_message", counting_decode)
+def test_observed_datagrams_are_decoded_once(decoded):
     for knowledge in ObserverKnowledge:
         decoded.clear()
         report = run_scenario(scenario(adversary=[Observe(knowledge)]))
@@ -330,6 +356,18 @@ def test_replayed_msg1_fools_baseline_responder():
     # the baseline responder answers the replay as if it were fresh
     assert not any(f["failure"] == "replay" for f in report.failure_trace)
     assert report.principal_counters["bob"]["dh_ops"] == 2
+
+
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+def test_a_replayed_replay_goes_to_the_step_of_its_original(variant):
+    # message 3 is the replay of message 2 (msg3), so it too is a msg3
+    report = run_scenario(scenario(variant=variant, seed=1, adversary=[
+        Replay(message=2), Replay(message=3)]))
+    assert [m["kind"] for m in report.message_log[3:]] == ["replay", "replay"]
+    assert report.principal_counters["bob"]["messages_rejected_pre_dh"] == 0
+    assert report.failure_trace == 2 * [
+        {"principal": "bob", "op": "responder_on_msg3",
+         "failure": "out-of-order"}]
 
 
 def test_replay_index_out_of_range_is_config_error():
@@ -367,6 +405,7 @@ def test_from_dict_round_trip_minimal():
                      "offset": -3}]}, "offset"),
     ({"adversary": [{"action": "replay", "message": 0, "delay": 5}]},
      "unknown"),
+    ({"adversary": [{"action": "tamper", "message": -1}]}, "message"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:
