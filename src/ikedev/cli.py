@@ -115,16 +115,9 @@ def _print_structured(document: dict) -> None:
     _emit(json.dumps(document, indent=2, sort_keys=True))
 
 
-def _payload_label(name: str) -> str:
-    try:
-        return f"{name}({int(PayloadType[name])})"
-    except KeyError:
-        return name
-
-
 def _print_ladder(report: netsim.ScenarioReport) -> None:
     for entry in report.message_log:
-        parts = [_payload_label(p) for p in entry["payloads"]]
+        parts = [f"{p}({int(PayloadType[p])})" for p in entry["payloads"]]
         if entry["blob_bytes"]:
             parts.append(f"[encrypted chain {entry['blob_bytes']} B]")
         route = f"{entry['src']} -> {entry['dst']}"
@@ -156,22 +149,6 @@ def cmd_handshake(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown principal(s) for --no-token: "
                           f"{sorted(unknown)}")
 
-    if args.udp:
-        result = netsim.run_handshake_udp(variant, seed,
-                                          no_token=frozenset(stripped))
-        if args.format == "structured":
-            _print_structured(result)
-        else:
-            _emit(f"udp handshake ({variant.value}), message sizes: "
-                  f"{result['message_sizes']}")
-            _emit(f"established: {result['established']}  "
-                  f"skeyid match: {result['skeyid_match']}")
-            for side in ("initiator", "responder"):
-                failure = result[f"{side}_failure"]
-                if failure:
-                    _emit(f"failure: {side}: {failure}")
-        return 0 if result["established"] and result["skeyid_match"] else 1
-
     config = ScenarioConfig(
         name="handshake", variant=variant, seed=seed,
         principals=(
@@ -180,10 +157,12 @@ def cmd_handshake(args: argparse.Namespace) -> int:
             PrincipalConfig("bob", Role.RESPONDER,
                             token="bob" not in stripped),
         ))
-    report = run_scenario(config)
+    report = run_scenario(config, udp=args.udp)
     if args.format == "structured":
         _print_structured(report.to_dict())
     else:
+        if args.udp:
+            _emit(f"udp handshake ({variant.value})")
         _print_ladder(report)
         _emit(f"established: {report.established}  "
               f"skeyid match: {report.skeyid_match}")

@@ -1,8 +1,9 @@
 """Deterministic adversarial network simulator.
 
-Principals exchange wire bytes over an in-memory medium with adversary
-hooks: source-spoofed floods, byte-level tampering, passive observation at
-two knowledge levels, and replay of captured datagrams.  Every random
+Principals exchange wire bytes over an in-memory medium, or over a
+loopback UDP hop for each datagram, with adversary hooks: source-spoofed
+floods, byte-level tampering, passive observation at two knowledge levels,
+and replay of captured datagrams.  Every random
 choice flows from ``crypto.derive_rng(seed, label)``, so a (scenario, seed)
 pair reproduces the identical :class:`ScenarioReport`, byte for byte.
 
@@ -26,6 +27,7 @@ documentation only; it is deliberately absent from the verdict map.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 from dataclasses import dataclass, field, fields
@@ -67,6 +69,7 @@ TABLE_COLUMNS = ("sa_ke_protection", "cert_sig_protection", "dos_prevention",
                  "certificate_storage")
 MATRIX_SCENARIOS = ("honest", "flood", "tamper-sa", "tamper-ke")
 FLOOD_COUNT = 1000
+UDP_TIMEOUT = 5.0   # seconds a loopback read waits before the hop fails
 
 EXPECTED_VERDICTS = {
     "baseline": {
@@ -129,6 +132,8 @@ class Replay:
 
 
 Action = Flood | Tamper | Observe | Replay
+_ACTION_KINDS = {"flood": Flood, "tamper": Tamper, "observe": Observe,
+                 "replay": Replay}
 
 
 @dataclass(frozen=True)
@@ -198,15 +203,10 @@ def _action_from_dict(raw: dict) -> Action:
     if not isinstance(raw, dict) or "action" not in raw:
         raise ConfigError(f"adversary action needs an 'action' field: {raw!r}")
     kind = raw["action"]
-    fields_by_kind = {
-        "flood": {"count", "forge_source"},
-        "tamper": {"message", "payload", "offset", "xor", "fallback_to_blob"},
-        "observe": {"knowledge"},
-        "replay": {"message"},
-    }
-    if kind not in fields_by_kind:
+    if kind not in _ACTION_KINDS:
         raise ConfigError(f"unknown adversary action {kind!r}")
-    extra = set(raw) - fields_by_kind[kind] - {"action"}
+    extra = (set(raw) - {f.name for f in fields(_ACTION_KINDS[kind])}
+             - {"action"})
     if extra:
         raise ConfigError(f"unknown fields for {kind}: {sorted(extra)}")
     try:
@@ -442,20 +442,7 @@ class ScenarioReport:
     verdicts: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "variant": self.variant,
-            "seed": self.seed,
-            "established": self.established,
-            "skeyid_match": self.skeyid_match,
-            "flood_sent": self.flood_sent,
-            "principal_counters": self.principal_counters,
-            "sign_backends": self.sign_backends,
-            "observer_findings": self.observer_findings,
-            "failure_trace": self.failure_trace,
-            "message_log": self.message_log,
-            "verdicts": self.verdicts,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> bytes:
         """Canonical byte serialization; equal seeds must reproduce it."""
@@ -538,30 +525,29 @@ _STEP = {"msg1": "responder_on_msg1", "flood": "responder_on_msg1",
          "msg2": "initiator_on_msg2", "msg3": "responder_on_msg3"}
 
 
-def run_ladder(ini: HandshakeSession, rsp: HandshakeSession, carry) -> None:
-    """Drive one handshake: ``initiator_start``, then the three steps.
+def run_scenario(config: ScenarioConfig, udp: bool = False) -> ScenarioReport:
+    """Run one scenario and report what happened to each datagram.
 
-    ``carry(wire, src, dst, kind)`` takes one encoded message from the
-    session named ``src`` to the one named ``dst`` and returns what ``dst``
-    decodes, or None if nothing arrives.  The ladder stops at the first
-    step that sends nothing; a step that finds no device sends nothing.
+    With ``udp`` every datagram also crosses a real loopback socket, one
+    bound per principal for the length of the run: it is sent to the
+    receiver's socket after any tamper and read back there before it is
+    decoded.  The report is the same, byte for byte, unless that hop fails.
     """
-    try:
-        outgoing = ini.initiator_start()
-        for src, dst, kind in ((ini, rsp, "msg1"), (rsp, ini, "msg2"),
-                               (ini, rsp, "msg3")):
-            if outgoing is None:
-                return
-            received = carry(codec.encode_message(outgoing), src.name,
-                             dst.name, kind)
-            if received is None:
-                return
-            outgoing = getattr(dst, _STEP[kind])(received)
-    except DeviceAbsent:
-        return
+    if not udp:
+        return _run(config, None)
+    with contextlib.ExitStack() as stack:
+        sockets = {}
+        for pc in config.principals:
+            sock = stack.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM))
+            sock.bind(("127.0.0.1", 0))
+            sock.settimeout(UDP_TIMEOUT)
+            sockets[pc.name] = sock
+        return _run(config, sockets)
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+def _run(config: ScenarioConfig,
+         sockets: dict[str, socket.socket] | None) -> ScenarioReport:
     seed = config.seed
     group = crypto.DESK_GROUP
     principals = build_principals(seed, config.variant, config.principals)
@@ -602,23 +588,35 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
         """Carry one datagram to ``dst`` and decode it once, for the
-        observers, the log and ``dst``; a datagram that does not decode is
-        recorded in the failure trace, shown to no observer and yields
-        None.  ``kind`` picks the step that takes the datagram and is kept
-        in the transcript; the log shows ``label`` instead when given."""
+        observers, the log and ``dst``; a datagram that does not reach
+        ``dst`` or does not decode there is recorded in the failure trace,
+        shown to no observer and yields None.  ``kind`` picks the step that
+        takes the datagram and is kept in the transcript; the log shows
+        ``label`` instead when given."""
         index = len(transcript)
         hits = [action for action in tampers if action.message == index]
         for action in hits:
             wire = tamper_in_flight(wire, action)
         transcript.append((wire, src, dst, kind))
-        try:
-            decoded = codec.decode_message(wire)
-        except CodecError as exc:
-            decoded = None
-            payload_names, blob_bytes = [], 0
-            failure_trace.append({"principal": dst, "op": "decode",
-                                  "failure": f"codec:{type(exc).__name__}"})
-        else:
+        delivered = True
+        if sockets is not None:
+            sock = sockets[dst]
+            try:
+                sock.sendto(wire, sock.getsockname())
+                wire, _ = sock.recvfrom(65535)
+            except OSError as exc:
+                delivered = False
+                failure_trace.append({"principal": dst, "op": "recv",
+                                      "failure": f"udp:{type(exc).__name__}"})
+        decoded = None
+        payload_names, blob_bytes = [], 0
+        if delivered:
+            try:
+                decoded = codec.decode_message(wire)
+            except CodecError as exc:
+                failure_trace.append({"principal": dst, "op": "decode",
+                                      "failure": f"codec:{type(exc).__name__}"})
+        if decoded is not None:
             payload_names = [p.type.name for p in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
             for obs in observers:
@@ -631,7 +629,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                             "kind": label or kind, "size": len(wire),
                             "payloads": payload_names,
                             "blob_bytes": blob_bytes,
-                            "tampered": bool(hits), "delivered": True})
+                            "tampered": bool(hits), "delivered": delivered})
         return decoded
 
     def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
@@ -667,7 +665,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                             config.disable_dos_gate)
         rsp_session = responder.new_session(config.variant, seed,
                                             config.disable_dos_gate)
-        run_ladder(ini_session, rsp_session, transmit)
+        # The ladder stops at the first step that sends nothing or whose
+        # datagram does not arrive; a step that finds no device sends nothing.
+        try:
+            outgoing = ini_session.initiator_start()
+            for src, dst, kind in ((ini_session, rsp_session, "msg1"),
+                                   (rsp_session, ini_session, "msg2"),
+                                   (ini_session, rsp_session, "msg3")):
+                if outgoing is None:
+                    break
+                received = transmit(codec.encode_message(outgoing), src.name,
+                                    dst.name, kind)
+                if received is None:
+                    break
+                outgoing = getattr(dst, _STEP[kind])(received)
+        except DeviceAbsent:
+            pass
         # Only the step that ends the ladder can record a failure, so
         # draining afterwards keeps the trace in the order it happened.
         drain(initiator, ini_session)
@@ -688,6 +701,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         wire, _, dst, kind = transcript[action.message]
         msg = transmit(wire, "adversary", dst, kind, label="replay")
         deliver_to_fresh(principals[dst], msg, kind)
+    unreached = [a.message for a in tampers if a.message >= len(transcript)]
+    if unreached:
+        raise ConfigError(
+            f"tamper index {min(unreached)} out of range "
+            f"({len(transcript)} messages sent)")
 
     report = ScenarioReport(
         scenario=config.name,
@@ -803,59 +821,3 @@ def run_matrix(seed: int, disable_dos_gate: bool = False) -> dict:
             "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value],
         }
     return result
-
-
-# ---------------------------------------------------------------------------
-# Optional UDP loopback bridge
-# ---------------------------------------------------------------------------
-
-def run_handshake_udp(variant: Variant, seed: int,
-                      no_token: frozenset[str] = frozenset(),
-                      host: str = "127.0.0.1", timeout: float = 5.0) -> dict:
-    """Drive one handshake over real loopback datagrams.
-
-    Same principals and wire bytes as the in-memory medium; adversary
-    actions are not available in this mode.  The two peers take turns in
-    one thread: each datagram is read only after its sender has sent it, so
-    a peer that gives up ends the run at once instead of leaving the other
-    waiting out ``timeout``.
-    """
-    principals = build_principals(seed, variant, (
-        PrincipalConfig("alice", Role.INITIATOR, token="alice" not in no_token),
-        PrincipalConfig("bob", Role.RESPONDER, token="bob" not in no_token)))
-    ini = principals["alice"].new_session(variant, seed)
-    rsp = principals["bob"].new_session(variant, seed)
-    sizes: list[int] = []
-    errors: dict[str, str] = {}   # receiving side -> transport or codec error
-
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as ini_sock, \
-            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rsp_sock:
-        socks = {ini.name: ini_sock, rsp.name: rsp_sock}
-        for sock in socks.values():
-            sock.bind((host, 0))
-            sock.settimeout(timeout)
-
-        def carry(wire: bytes, src: str, dst: str,
-                  kind: str) -> codec.IsakmpMessage | None:
-            sizes.append(len(wire))
-            try:
-                socks[src].sendto(wire, socks[dst].getsockname())
-                data, _ = socks[dst].recvfrom(65535)
-                return codec.decode_message(data)
-            except (OSError, CodecError) as exc:
-                errors["responder" if dst == rsp.name else "initiator"] = str(exc)
-                return None
-
-        run_ladder(ini, rsp, carry)
-
-    established = (ini.state is SessionState.ESTABLISHED
-                   and rsp.state is SessionState.ESTABLISHED)
-    return {
-        "transport": "udp",
-        "variant": variant.value,
-        "established": established,
-        "skeyid_match": established and ini.skeyid == rsp.skeyid,
-        "message_sizes": sizes,
-        "initiator_failure": ini.failure or errors.get("initiator"),
-        "responder_failure": rsp.failure or errors.get("responder"),
-    }

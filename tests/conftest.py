@@ -1,4 +1,5 @@
 import random
+import socket
 
 import pytest
 
@@ -83,3 +84,16 @@ def handshake():
 
 def make_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+def _loopback_udp_available() -> bool:
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+            s.bind(("127.0.0.1", 0))
+        return True
+    except OSError:
+        return False
+
+
+requires_loopback_udp = pytest.mark.skipif(
+    not _loopback_udp_available(), reason="no loopback UDP in this environment")

@@ -1,10 +1,10 @@
 """Command-line behavior: exit codes, renderings, seed resolution."""
 
 import json
-import socket
 
 import pytest
 
+from conftest import requires_loopback_udp
 from ikedev import cli
 
 
@@ -202,28 +202,26 @@ def test_matrix_hidden_flag_absent_from_help(capsys):
 
 # --- udp bridge ----------------------------------------------------------------
 
-def _loopback_udp_available() -> bool:
-    try:
-        s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        s.bind(("127.0.0.1", 0))
-        s.close()
-        return True
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not _loopback_udp_available(),
-                    reason="no loopback UDP in this environment")
+@requires_loopback_udp
 def test_handshake_over_udp(capsys):
     code, out, _ = run_cli(capsys, "handshake", "--udp")
     assert code == 0
-    assert "udp handshake" in out
     assert "established: True" in out
+    _, in_memory, _ = run_cli(capsys, "handshake")
+    assert out == "udp handshake (improved)\n" + in_memory
 
 
-@pytest.mark.skipif(not _loopback_udp_available(),
-                    reason="no loopback UDP in this environment")
+@requires_loopback_udp
+def test_udp_structured_output_is_the_scenario_report(capsys):
+    _, out, _ = run_cli(capsys, "handshake", "--udp", "--format", "structured")
+    _, in_memory, _ = run_cli(capsys, "handshake", "--format", "structured")
+    assert out == in_memory
+    assert json.loads(out)["scenario"] == "handshake"
+
+
+@requires_loopback_udp
 def test_udp_tokenless_initiator_fails(capsys):
     code, out, _ = run_cli(capsys, "handshake", "--udp",
                            "--no-token", "initiator")
     assert code == 1
+    assert "negotiation stopped: no device" in out

@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import socket
 import time
 from pathlib import Path
 
 import pytest
 
+from conftest import requires_loopback_udp
 from ikedev import codec, netsim
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
@@ -375,6 +377,12 @@ def test_replay_index_out_of_range_is_config_error():
         run_scenario(scenario(adversary=[Replay(message=40)]))
 
 
+def test_a_tamper_past_the_last_datagram_is_config_error():
+    with pytest.raises(ConfigError, match="tamper index 40"):
+        run_scenario(scenario(seed=1, adversary=[
+            Tamper(message=40, payload="SA")]))
+
+
 # --- scenario config parsing ----------------------------------------------------------
 
 def test_from_dict_round_trip_minimal():
@@ -456,25 +464,72 @@ def test_undecodable_datagram_is_logged_and_traced_once():
         {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
 
 
-# --- UDP bridge -----------------------------------------------------------------------
+# --- UDP loopback hop -----------------------------------------------------------------
 
+def _token_layout(alice: bool, bob: bool) -> tuple[PrincipalConfig, ...]:
+    return (PrincipalConfig("alice", Role.INITIATOR, token=alice),
+            PrincipalConfig("bob", Role.RESPONDER, token=bob))
+
+
+@requires_loopback_udp
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("alice, bob", [(True, True), (False, True),
+                                        (True, False), (False, False)])
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+def test_udp_report_equals_the_in_memory_report(variant, alice, bob, seed):
+    cfg = ScenarioConfig(name="handshake", variant=variant, seed=seed,
+                         principals=_token_layout(alice, bob))
+    assert run_scenario(cfg, udp=True).to_json() == run_scenario(cfg).to_json()
+
+
+@requires_loopback_udp
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+def test_udp_battery_equals_the_in_memory_battery(variant):
+    for cfg in battery_configs(variant, seed=3):
+        assert (run_scenario(cfg, udp=True).to_json()
+                == run_scenario(cfg).to_json()), cfg.name
+
+
+@requires_loopback_udp
 def test_udp_returns_at_once_when_the_initiator_gives_up():
     start = time.monotonic()
-    result = netsim.run_handshake_udp(Variant.IMPROVED, 7,
-                                      no_token=frozenset({"alice"}), timeout=30)
+    report = run_scenario(ScenarioConfig(
+        name="handshake", variant=Variant.IMPROVED, seed=7,
+        principals=_token_layout(alice=False, bob=True)), udp=True)
     assert time.monotonic() - start < 5
-    assert result["initiator_failure"] == "no device"
-    assert result["established"] is False
-    assert result["message_sizes"] == []
+    assert report.failure_trace == [
+        {"principal": "alice", "op": "initiator_start",
+         "failure": "no device"}]
+    assert report.established is False
+    assert report.message_log == []
 
 
+@requires_loopback_udp
 def test_udp_returns_at_once_when_the_responder_gives_up():
     start = time.monotonic()
-    result = netsim.run_handshake_udp(Variant.IMPROVED, 7,
-                                      no_token=frozenset({"bob"}), timeout=30)
+    report = run_scenario(ScenarioConfig(
+        name="handshake", variant=Variant.IMPROVED, seed=7,
+        principals=_token_layout(alice=True, bob=False)), udp=True)
     assert time.monotonic() - start < 5
-    assert result["responder_failure"] == "no device"
-    assert len(result["message_sizes"]) == 1
+    assert [e["failure"] for e in report.failure_trace
+            if e["principal"] == "bob"] == ["no device"]
+    assert len(report.message_log) == 1
+
+
+@requires_loopback_udp
+def test_a_failed_udp_read_delivers_nothing(monkeypatch):
+    def timed_out(self, bufsize):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(socket.socket, "recvfrom", timed_out)
+    start = time.monotonic()
+    report = run_scenario(scenario(seed=7), udp=True)
+    assert time.monotonic() - start < 1
+    assert report.failure_trace == [
+        {"principal": "bob", "op": "recv", "failure": "udp:TimeoutError"}]
+    assert [m["delivered"] for m in report.message_log] == [False]
+    assert report.message_log[0]["payloads"] == []
+    assert report.established is False
 
 
 # --- verdict derivation --------------------------------------------------------------
