@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import netsim
+from . import crypto, netsim
 from .codec import PayloadType
 from .errors import ConfigError, IkeDevError
 from .netsim import (
@@ -60,8 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "structured"),
                        default="table", help="output rendering")
 
+    def group(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--group", choices=sorted(crypto.GROUPS),
+                       default=crypto.DESK_GROUP.name,
+                       help="Diffie-Hellman group (default %(default)s)")
+
     p_hs = sub.add_parser("handshake", help="run one handshake")
     common(p_hs)
+    group(p_hs)
     p_hs.add_argument("--variant", choices=("baseline", "improved"),
                       default="improved")
     p_hs.add_argument("--no-token", metavar="PRINCIPAL", action="append",
@@ -78,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mx = sub.add_parser("matrix", help="run the comparison battery")
     common(p_mx)
+    group(p_mx)
     p_mx.add_argument("--ascii", action="store_true",
                       help="render O/x instead of the ○/× glyphs")
     p_mx.add_argument("--disable-dos-gate", action="store_true",
@@ -156,7 +163,8 @@ def cmd_handshake(args: argparse.Namespace) -> int:
                             token="alice" not in stripped),
             PrincipalConfig("bob", Role.RESPONDER,
                             token="bob" not in stripped),
-        ))
+        ),
+        group=args.group)
     report = run_scenario(config, udp=args.udp)
     if args.format == "structured":
         _print_structured(report.to_dict())
@@ -194,7 +202,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    result = run_matrix(seed, disable_dos_gate=args.disable_dos_gate)
+    result = run_matrix(seed, disable_dos_gate=args.disable_dos_gate,
+                        group=args.group)
     matches = all(result[v]["matches_expected"] for v in ("baseline",
                                                           "improved"))
     if args.format == "structured":

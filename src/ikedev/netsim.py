@@ -107,6 +107,11 @@ class Flood:
 class Tamper:
     """Flip one byte of the ``message``-th delivered datagram.
 
+    ``message`` must be below the number of datagrams the script can send
+    (its flood packets, three for the handshake, one per replay); a tamper
+    that the run never reaches, because the ladder stopped early, tampers
+    nothing.
+
     ``payload`` selects the first clear-chain payload of that type; when it
     does not resolve (the target rides inside the encrypted blob) and
     ``fallback_to_blob`` is set, the same offset is applied inside the blob
@@ -152,6 +157,12 @@ class ScenarioConfig:
     adversary: tuple[Action, ...] = ()
     handshake: bool = True
     disable_dos_gate: bool = False
+    group: str = crypto.DESK_GROUP.name
+
+    def __post_init__(self) -> None:
+        if self.group not in crypto.GROUPS:
+            raise ConfigError(f"unknown DH group {self.group!r}; "
+                              f"choose from {sorted(crypto.GROUPS)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -179,6 +190,7 @@ class ScenarioConfig:
             adversary=adversary,
             handshake=bool(raw.get("handshake", True)),
             disable_dos_gate=bool(raw.get("disable_dos_gate", False)),
+            group=str(raw.get("group", crypto.DESK_GROUP.name)),
         )
 
 
@@ -401,13 +413,13 @@ class Principal:
     replay_guard: ReplayGuard | None
     sessions: list[HandshakeSession] = field(default_factory=list)
 
-    def new_session(self, variant: Variant, seed: int,
+    def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
         """Open this principal's next session; its RNG is keyed by ordinal."""
         session = HandshakeSession(
             role=self.role, variant=variant, name=self.name,
             rng=crypto.derive_rng(seed, f"session|{self.name}|{len(self.sessions)}"),
-            token=self.token, file_identity=self.file_identity,
+            group=group, token=self.token, file_identity=self.file_identity,
             replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate)
         self.sessions.append(session)
         return session
@@ -549,7 +561,7 @@ def run_scenario(config: ScenarioConfig, udp: bool = False) -> ScenarioReport:
 def _run(config: ScenarioConfig,
          sockets: dict[str, socket.socket] | None) -> ScenarioReport:
     seed = config.seed
-    group = crypto.DESK_GROUP
+    group = crypto.GROUPS[config.group]
     principals = build_principals(seed, config.variant, config.principals)
 
     initiator = next((p for p in principals.values()
@@ -572,6 +584,16 @@ def _run(config: ScenarioConfig,
                     _deployment(seed), "observer")
             observers.append(_ObserverState(action.knowledge, obs_token))
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
+    # Checked before the run, so a scenario's validity does not depend on
+    # how far its own ladder got (see Tamper).
+    sendable = (sum(a.count for a in config.adversary if isinstance(a, Flood))
+                + 3 * config.handshake
+                + sum(isinstance(a, Replay) for a in config.adversary))
+    beyond = [a.message for a in tampers if a.message >= sendable]
+    if beyond:
+        raise ConfigError(
+            f"tamper index {min(beyond)} out of range "
+            f"(the script sends at most {sendable} messages)")
 
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
     message_log: list[dict] = []
@@ -634,7 +656,7 @@ def _run(config: ScenarioConfig,
 
     def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
                          kind: str) -> None:
-        session = principal.new_session(config.variant, seed,
+        session = principal.new_session(config.variant, seed, group,
                                         config.disable_dos_gate)
         if msg is None:
             return
@@ -661,9 +683,9 @@ def _run(config: ScenarioConfig,
     established: bool | None = None
     skeyid_match: bool | None = None
     if config.handshake:
-        ini_session = initiator.new_session(config.variant, seed,
+        ini_session = initiator.new_session(config.variant, seed, group,
                                             config.disable_dos_gate)
-        rsp_session = responder.new_session(config.variant, seed,
+        rsp_session = responder.new_session(config.variant, seed, group,
                                             config.disable_dos_gate)
         # The ladder stops at the first step that sends nothing or whose
         # datagram does not arrive; a step that finds no device sends nothing.
@@ -701,11 +723,6 @@ def _run(config: ScenarioConfig,
         wire, _, dst, kind = transcript[action.message]
         msg = transmit(wire, "adversary", dst, kind, label="replay")
         deliver_to_fresh(principals[dst], msg, kind)
-    unreached = [a.message for a in tampers if a.message >= len(transcript)]
-    if unreached:
-        raise ConfigError(
-            f"tamper index {min(unreached)} out of range "
-            f"({len(transcript)} messages sent)")
 
     report = ScenarioReport(
         scenario=config.name,
@@ -788,8 +805,8 @@ def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
 # The fixed battery behind the comparison matrix
 # ---------------------------------------------------------------------------
 
-def battery_configs(variant: Variant, seed: int,
-                    disable_dos_gate: bool = False) -> list[ScenarioConfig]:
+def battery_configs(variant: Variant, seed: int, disable_dos_gate: bool = False,
+                    group: str = crypto.DESK_GROUP.name) -> list[ScenarioConfig]:
     principals = (PrincipalConfig("alice", Role.INITIATOR),
                   PrincipalConfig("bob", Role.RESPONDER))
 
@@ -798,7 +815,7 @@ def battery_configs(variant: Variant, seed: int,
         return ScenarioConfig(name=name, variant=variant, seed=seed,
                               principals=principals, adversary=adversary,
                               handshake=handshake,
-                              disable_dos_gate=disable_dos_gate)
+                              disable_dos_gate=disable_dos_gate, group=group)
 
     return [
         cfg("honest", (Observe(ObserverKnowledge.NONE),)),
@@ -808,12 +825,13 @@ def battery_configs(variant: Variant, seed: int,
     ]
 
 
-def run_matrix(seed: int, disable_dos_gate: bool = False) -> dict:
+def run_matrix(seed: int, disable_dos_gate: bool = False,
+               group: str = crypto.DESK_GROUP.name) -> dict:
     """Run the full battery for both variants; the one-command reproduction."""
     result: dict = {}
     for variant in (Variant.BASELINE, Variant.IMPROVED):
         reports = [run_scenario(cfg) for cfg in
-                   battery_configs(variant, seed, disable_dos_gate)]
+                   battery_configs(variant, seed, disable_dos_gate, group)]
         verdicts = verdicts_from_trace(reports)
         result[variant.value] = {
             "reports": reports,

@@ -31,6 +31,29 @@ def test_handshake_baseline_succeeds(capsys):
     assert "SA(1)" in out
 
 
+def test_handshake_on_modp2048(capsys):
+    code, out, _ = run_cli(capsys, "handshake", "--group", "modp2048",
+                           "--format", "structured")
+    assert code == 0
+    msg1 = json.loads(out)["message_log"][0]
+    assert msg1["size"] > 256
+
+
+def test_attack_reads_the_group_from_the_scenario_file(capsys, tmp_path):
+    path = tmp_path / "flood.json"
+    sizes = {}
+    for group in ("desk64", "modp2048"):
+        path.write_text(json.dumps({
+            "name": "flood", "variant": "baseline", "seed": 1,
+            "group": group, "handshake": False,
+            "adversary": [{"action": "flood", "count": 2}]}))
+        code, out, _ = run_cli(capsys, "attack", "--scenario", str(path),
+                               "--format", "structured")
+        assert code == 0
+        sizes[group] = json.loads(out)["message_log"][0]["size"]
+    assert sizes["modp2048"] - sizes["desk64"] == 256 - 8
+
+
 def test_handshake_without_initiator_token_stops(capsys):
     code, out, _ = run_cli(capsys, "handshake", "--variant", "improved",
                            "--no-token", "initiator")
@@ -185,6 +208,17 @@ def test_matrix_structured_document(capsys):
     assert set(doc["rows"]) == {"baseline", "improved"}
     assert doc["rows"]["improved"]["certificate_storage"] == "device"
     assert doc["seed"] == cli.DEFAULT_SEED
+
+
+def test_matrix_on_modp2048_gives_the_papers_table(capsys):
+    code, out, _ = run_cli(capsys, "matrix", "--group", "modp2048",
+                           "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rows"] == doc["expected"]
+    for reports in doc["reports"].values():
+        msg1 = next(m for m in reports[0]["message_log"] if m["kind"] == "msg1")
+        assert msg1["size"] > 256   # a 256-byte public value rides in it
 
 
 def test_matrix_gate_disabled_fails_expectation(capsys):

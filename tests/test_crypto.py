@@ -2,8 +2,9 @@
 
 The PRF is checked against an RFC 4231 vector and a from-scratch
 ipad/opad construction; signatures against RFC 8032 TEST 1; the DH layer
-against hand-sized numbers small enough to verify on paper, and the
-fixed-base keypair against ``pow``.
+against hand-sized numbers small enough to verify on paper, and both of
+its fast paths, the fixed-base table on ``desk64`` and OpenSSL on
+``modp2048``, against ``pow``.
 """
 
 import hashlib
@@ -107,14 +108,48 @@ def test_modp2048_public_values_match_the_recorded_digest():
     assert digest.hexdigest() == MODP2048_PUBLIC_DIGEST
 
 
+# SHA-256 over dh_shared(G, xa, gb) for 20 pairs of modp2048 keypairs
+# (xa, _), (_, gb) drawn from random.Random(7), recorded while dh_shared
+# still called pow.
+MODP2048_SHARED_DIGEST = (
+    "f21fa8f27afa6194920deb24968fdd44ff4bba5a21ab0bc63ed7eff1e51855cd")
+
+
+def test_modp2048_shared_secrets_match_the_recorded_digest():
+    group = crypto.MODP2048_GROUP
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        xa, _ = crypto.dh_keypair(group, rng)
+        _, gb = crypto.dh_keypair(group, rng)
+        digest.update(crypto.dh_shared(group, xa, gb))
+    assert digest.hexdigest() == MODP2048_SHARED_DIGEST
+
+
+def test_openssl_modexp_keeps_leading_zeros_and_takes_any_base():
+    group = crypto.MODP2048_GROUP
+    # g^x for this x is below 2^2040, so its first byte on the wire is zero.
+    x = 0xD8C741E1E949CE8E3C091C426A1CC6A617ED9B3FDACA4A4C5115F659543DE6CE
+    _, gx = crypto.dh_keypair(group, _FixedExponent(x))
+    assert gx[0] == 0 and gx == group.encode(pow(group.g, x, group.p))
+    # 11 is a quadratic non-residue mod this p, so it lies outside the
+    # subgroup that g generates; a tampered KE may carry such a value.
+    assert crypto.dh_shared(group, x, group.encode(11)) == group.encode(
+        pow(11, x, group.p))
+
+
 def test_importing_ikedev_builds_no_fixed_base_table():
-    code = ("import ikedev, ikedev.cli, ikedev.netsim, ikedev.crypto as c; "
+    code = ("import random, ikedev, ikedev.cli, ikedev.netsim, "
+            "ikedev.crypto as c; "
+            "print(c._fixed_base_table.cache_info().currsize, "
+            "c._openssl_parameters.cache_info().currsize); "
+            "c.dh_keypair(c.MODP2048_GROUP, random.Random(1)); "
             "print(c._fixed_base_table.cache_info().currsize)")
     src = str(Path(crypto.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                                                      "PYTHONPATH": src})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("value", [0, 1])
@@ -122,6 +157,20 @@ def test_dh_rejects_weak_small_values(value):
     group = crypto.DESK_GROUP
     with pytest.raises(WeakPublicValue):
         crypto.dh_shared(group, 5, group.encode(value))
+
+
+_MODP_P = crypto.MODP2048_GROUP.p
+
+
+@pytest.mark.parametrize("peer", [
+    crypto.MODP2048_GROUP.encode(0), crypto.MODP2048_GROUP.encode(1),
+    crypto.MODP2048_GROUP.encode(_MODP_P - 1),
+    crypto.MODP2048_GROUP.encode(_MODP_P), b"\xff" * 256,
+], ids=["0", "1", "p-1", "p", "all-ff"])
+def test_modp2048_rejects_weak_values_before_openssl(peer):
+    # OpenSSL would raise ValueError for these; the caller sees one error.
+    with pytest.raises(WeakPublicValue):
+        crypto.dh_shared(crypto.MODP2048_GROUP, 5, peer)
 
 
 def test_dh_rejects_p_minus_1_and_out_of_range():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import requires_loopback_udp
-from ikedev import codec, netsim
+from ikedev import codec, crypto, netsim
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
     EXPECTED_VERDICTS,
@@ -383,6 +383,26 @@ def test_a_tamper_past_the_last_datagram_is_config_error():
             Tamper(message=40, payload="SA")]))
 
 
+def test_a_tamper_the_run_never_reaches_tampers_nothing():
+    # The first tamper breaks the header version, so bob never answers and
+    # message 3 is never sent: the second tamper is in the script's reach
+    # but not in this run's.
+    report = run_scenario(scenario(seed=1, adversary=[
+        Tamper(message=0, offset=17), Tamper(message=2, payload="SIG")]))
+    assert report.established is False
+    assert [m["tampered"] for m in report.message_log] == [True]
+
+
+def test_the_tamper_bound_counts_floods_ladder_and_replays():
+    script = [Flood(count=2), Replay(message=0)]   # 2 + 3 + 1 datagrams
+    report = run_scenario(scenario(seed=1, adversary=[
+        *script, Tamper(message=5, offset=0)]))
+    assert [m["tampered"] for m in report.message_log] == [False] * 5 + [True]
+    with pytest.raises(ConfigError, match="tamper index 6"):
+        run_scenario(scenario(seed=1, adversary=[
+            *script, Tamper(message=6, offset=0)]))
+
+
 # --- scenario config parsing ----------------------------------------------------------
 
 def test_from_dict_round_trip_minimal():
@@ -414,6 +434,7 @@ def test_from_dict_round_trip_minimal():
     ({"adversary": [{"action": "replay", "message": 0, "delay": 5}]},
      "unknown"),
     ({"adversary": [{"action": "tamper", "message": -1}]}, "message"),
+    ({"group": "modp1024"}, "DH group"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -555,6 +576,34 @@ def test_run_matrix_shape_and_expectation():
         assert row["matches_expected"] is True
         assert len(row["reports"]) == 4
     assert result["improved"]["verdicts"]["certificate_storage"] == "device"
+
+
+# Whole runs on modp2048: both variants, honest, at three seeds, and a
+# baseline flood, which makes the responder do DH for every packet.
+MODP2048_RUNS = [
+    *(scenario(variant=variant, seed=seed, group="modp2048")
+      for variant in (Variant.BASELINE, Variant.IMPROVED)
+      for seed in (1, 2, 3)),
+    scenario(variant=Variant.BASELINE, seed=1, group="modp2048",
+             adversary=[Flood(count=20)], handshake=False),
+]
+
+
+def test_modp2048_reports_with_openssl_equal_reports_with_pow(monkeypatch):
+    openssl = crypto._openssl_modexp
+    calls = []
+
+    def counted(group, base, x):
+        calls.append(group.name)
+        return openssl(group, base, x)
+
+    monkeypatch.setattr(crypto, "_openssl_modexp", counted)
+    with_openssl = [run_scenario(cfg).to_json() for cfg in MODP2048_RUNS]
+    assert len(calls) >= 6 * 4 + 20 * 2
+    assert set(calls) == {"modp2048"}
+    monkeypatch.setattr(crypto, "_openssl_modexp",
+                        lambda group, base, x: group.encode(pow(base, x, group.p)))
+    assert [run_scenario(cfg).to_json() for cfg in MODP2048_RUNS] == with_openssl
 
 
 def test_run_matrix_gate_disabled_breaks_the_improved_row():
