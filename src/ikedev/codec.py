@@ -111,7 +111,6 @@ class DevBody:
     """Device-information payload body: sealed 7-byte serial record."""
     nonce: bytes
     ciphertext: bytes
-    format_version: int = DEV_FORMAT_VERSION
 
     def __post_init__(self):
         if len(self.nonce) != DEV_NONCE_LEN:
@@ -148,9 +147,8 @@ def payload_type_of(body: Body) -> PayloadType:
 
 @dataclass(frozen=True)
 class IsakmpPayload:
-    """One payload: ``next_payload`` links to the successor's type (0 = last)."""
+    """One payload; its generic header's link is the successor's type."""
 
-    next_payload: int
     body: Body
 
     @property
@@ -162,12 +160,9 @@ class IsakmpPayload:
 class IsakmpHeader:
     initiator_cookie: bytes
     responder_cookie: bytes
-    next_payload: int
-    version: int = ISAKMP_VERSION
     exchange_type: int = EXCHANGE_AGGRESSIVE
     flags: int = 0
     message_id: int = 0
-    length: int = 0
 
     @property
     def encrypted(self) -> bool:
@@ -191,7 +186,7 @@ class IsakmpMessage:
 # Body encode / parse
 # ---------------------------------------------------------------------------
 
-def _encode_body(body: Body) -> bytes:
+def encode_body(body: Body) -> bytes:
     if isinstance(body, SaBody):
         return body.proposal
     if isinstance(body, KeBody):
@@ -205,7 +200,7 @@ def _encode_body(body: Body) -> bytes:
     if isinstance(body, SigBody):
         return body.signature
     if isinstance(body, DevBody):
-        return bytes([body.format_version]) + body.nonce + body.ciphertext
+        return bytes([DEV_FORMAT_VERSION]) + body.nonce + body.ciphertext
     raise TypeError(f"unknown body {type(body)!r}")
 
 
@@ -217,8 +212,7 @@ _BODY_PARSERS = {
     PayloadType.CERT: lambda data: CertBody(data[0], data[1:]),
     PayloadType.SIG: SigBody,
     PayloadType.DEV: lambda data: DevBody(
-        nonce=data[1:1 + DEV_NONCE_LEN], ciphertext=data[1 + DEV_NONCE_LEN:],
-        format_version=data[0]),
+        nonce=data[1:1 + DEV_NONCE_LEN], ciphertext=data[1 + DEV_NONCE_LEN:]),
 }
 
 
@@ -229,8 +223,8 @@ def _parse_body(ptype: PayloadType, data: bytes, base: int) -> Body:
     except (ValueError, IndexError) as exc:
         raise BadLength(f"{ptype.name} body of {len(data)} bytes: {exc}",
                         base) from None
-    if ptype == PayloadType.DEV and body.format_version != DEV_FORMAT_VERSION:
-        raise BadVersion(f"DEV format version {body.format_version}", base)
+    if ptype == PayloadType.DEV and data[0] != DEV_FORMAT_VERSION:
+        raise BadVersion(f"DEV format version {data[0]}", base)
     return body
 
 
@@ -238,23 +232,17 @@ def _parse_body(ptype: PayloadType, data: bytes, base: int) -> Body:
 # Chain encode / parse
 # ---------------------------------------------------------------------------
 
-def _check_links(first_type: int, payloads: list[IsakmpPayload]) -> None:
-    expected = first_type
-    for payload in payloads:
-        if payload.type != expected:
-            raise ChainMismatch(
-                f"link says type {expected}, payload is {int(payload.type)}")
-        expected = payload.next_payload
-    if expected != 0:
-        raise ChainMismatch(f"last payload links to type {expected}, not 0")
+def _first_type(payloads: list[IsakmpPayload]) -> int:
+    return payloads[0].type if payloads else 0
 
 
 def _encode_chain(payloads: list[IsakmpPayload]) -> bytes:
+    """Each generic header links to the type of the payload after it."""
     out = bytearray()
-    for payload in payloads:
-        body = _encode_body(payload.body)
-        out += struct.pack("!BBH", payload.next_payload, 0,
-                           GENERIC_HEADER_LEN + len(body))
+    links = [payload.type for payload in payloads[1:]] + [0]
+    for payload, link in zip(payloads, links):
+        body = encode_body(payload.body)
+        out += struct.pack("!BBH", link, 0, GENERIC_HEADER_LEN + len(body))
         out += body
     return bytes(out)
 
@@ -280,7 +268,7 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
             raise Truncated(f"payload claims {plen} bytes", offset + 2)
         body = _parse_body(ptype, data[offset + GENERIC_HEADER_LEN:offset + plen],
                            offset + GENERIC_HEADER_LEN)
-        payloads.append(IsakmpPayload(next_payload=next_payload, body=body))
+        payloads.append(IsakmpPayload(body))
         link_offset = offset
         offset += plen
         ptype = next_payload
@@ -292,21 +280,16 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
 # ---------------------------------------------------------------------------
 
 def encode_message(msg: IsakmpMessage) -> bytes:
-    """Serialize; header length is recomputed, links are verified."""
+    """Serialize; links, version and length are derived from the payloads."""
     hdr = msg.header
-    first_type = msg.payloads[0].type if msg.payloads else 0
-    if hdr.next_payload != first_type:
-        raise ChainMismatch(
-            f"header links to type {hdr.next_payload}, first payload is {first_type}")
-    _check_links(first_type, msg.payloads)
     if msg.encrypted_chain is not None and not hdr.encrypted:
         raise ChainMismatch("encrypted chain present without encryption flag")
     chain = _encode_chain(msg.payloads)
     tail = msg.encrypted_chain or b""
     length = HEADER_LEN + len(chain) + len(tail)
     head = _HEADER.pack(hdr.initiator_cookie, hdr.responder_cookie,
-                        hdr.next_payload, hdr.version, hdr.exchange_type,
-                        hdr.flags, hdr.message_id, length)
+                        _first_type(msg.payloads), ISAKMP_VERSION,
+                        hdr.exchange_type, hdr.flags, hdr.message_id, length)
     return head + chain + tail
 
 
@@ -323,9 +306,7 @@ def decode_message(data: bytes) -> IsakmpMessage:
         raise BadLength(f"header says {length} bytes, message has {len(data)}", 24)
     header = IsakmpHeader(
         initiator_cookie=cky_i, responder_cookie=cky_r,
-        next_payload=next_payload, version=version,
-        exchange_type=exchange_type, flags=flags,
-        message_id=message_id, length=length)
+        exchange_type=exchange_type, flags=flags, message_id=message_id)
     payloads, offset = _parse_chain(data, HEADER_LEN, next_payload, 16)
     encrypted_chain = None
     if offset < len(data):
@@ -339,28 +320,20 @@ def decode_message(data: bytes) -> IsakmpMessage:
 
 
 def link_payloads(bodies: list[Body]) -> list[IsakmpPayload]:
-    """Wrap bodies into a correctly linked payload chain."""
-    out = []
-    for i, body in enumerate(bodies):
-        nxt = payload_type_of(bodies[i + 1]) if i + 1 < len(bodies) else 0
-        out.append(IsakmpPayload(next_payload=nxt, body=body))
-    return out
+    """Wrap bodies into a payload chain."""
+    return [IsakmpPayload(body) for body in bodies]
 
 
 def build_message(initiator_cookie: bytes, responder_cookie: bytes,
                   bodies: list[Body], *, flags: int = 0, message_id: int = 0,
                   encrypted_chain: bytes | None = None) -> IsakmpMessage:
-    """Assemble a message with links and header length finalized."""
+    """Assemble a message; the encoder derives links and header length."""
     if encrypted_chain is not None and not flags & FLAG_ENCRYPTION:
         raise ChainMismatch("encrypted chain present without encryption flag")
-    payloads = link_payloads(bodies)
-    length = HEADER_LEN + len(encrypted_chain or b"") + sum(
-        GENERIC_HEADER_LEN + len(_encode_body(body)) for body in bodies)
     header = IsakmpHeader(
         initiator_cookie=initiator_cookie, responder_cookie=responder_cookie,
-        next_payload=int(payloads[0].type) if payloads else 0, flags=flags,
-        message_id=message_id, length=length)
-    return IsakmpMessage(header=header, payloads=payloads,
+        flags=flags, message_id=message_id)
+    return IsakmpMessage(header=header, payloads=link_payloads(bodies),
                          encrypted_chain=encrypted_chain)
 
 
@@ -370,9 +343,7 @@ def build_message(initiator_cookie: bytes, responder_cookie: bytes,
 
 def serialize_payload_chain(payloads: list[IsakmpPayload]) -> bytes:
     """Self-describing chain plaintext: leading type byte, then the chain."""
-    first_type = payloads[0].type if payloads else 0
-    _check_links(first_type, payloads)
-    return bytes([first_type]) + _encode_chain(payloads)
+    return bytes([_first_type(payloads)]) + _encode_chain(payloads)
 
 
 def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:
@@ -401,19 +372,11 @@ def payload_byte_ranges(data: bytes) -> list[PayloadRange]:
     ranges = []
     offset = HEADER_LEN
     for payload in msg.payloads:
-        body_len = len(_encode_body(payload.body))
+        body_len = len(encode_body(payload.body))
         ranges.append(PayloadRange(payload.type, offset + GENERIC_HEADER_LEN,
                                    offset + GENERIC_HEADER_LEN + body_len))
         offset += GENERIC_HEADER_LEN + body_len
     return ranges
-
-
-def encrypted_chain_range(data: bytes) -> tuple[int, int] | None:
-    """Byte range of the trailing encrypted blob, if the message has one."""
-    msg = decode_message(data)
-    if msg.encrypted_chain is None:
-        return None
-    return len(data) - len(msg.encrypted_chain), len(data)
 
 
 # Canonical single-transform proposal: DOI, situation, one proposal with one

@@ -66,7 +66,7 @@ class NonzeroReserved(CodecError):
 
 
 class ChainMismatch(IkeDevError):
-    """Payload chain links are inconsistent at encode time."""
+    """An encrypted chain is given without the header's encryption flag."""
 
 
 # --- simulator / cli -------------------------------------------------------

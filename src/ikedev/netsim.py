@@ -185,11 +185,11 @@ class ScenarioConfig:
         return cls(
             name=str(raw.get("name", "scenario")),
             variant=variant,
-            seed=int(raw.get("seed", 0)),
+            seed=_json_value(raw, "seed", int, 0),
             principals=principals,
             adversary=adversary,
-            handshake=bool(raw.get("handshake", True)),
-            disable_dos_gate=bool(raw.get("disable_dos_gate", False)),
+            handshake=_json_value(raw, "handshake", bool, True),
+            disable_dos_gate=_json_value(raw, "disable_dos_gate", bool, False),
             group=str(raw.get("group", crypto.DESK_GROUP.name)),
         )
 
@@ -200,6 +200,18 @@ _DEFAULT_PRINCIPALS = (
 )
 
 
+_JSON_KINDS = {int: "an integer", bool: "true or false"}
+
+
+def _json_value(raw: dict, key: str, kind: type, default):
+    """``raw[key]``, or ``default`` if absent, of exactly JSON ``kind``:
+    nothing is coerced, and an integer is no bool, float or string."""
+    value = raw.get(key, default)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, not {value!r}")
+    return value
+
+
 def _principal_from_dict(raw: dict) -> PrincipalConfig:
     if not isinstance(raw, dict) or "name" not in raw or "role" not in raw:
         raise ConfigError(f"principal needs name and role: {raw!r}")
@@ -208,7 +220,7 @@ def _principal_from_dict(raw: dict) -> PrincipalConfig:
     except ValueError:
         raise ConfigError(f"unknown role {raw['role']!r}") from None
     return PrincipalConfig(name=str(raw["name"]), role=role,
-                           token=bool(raw.get("token", True)))
+                           token=_json_value(raw, "token", bool, True))
 
 
 def _action_from_dict(raw: dict) -> Action:
@@ -223,28 +235,29 @@ def _action_from_dict(raw: dict) -> Action:
         raise ConfigError(f"unknown fields for {kind}: {sorted(extra)}")
     try:
         if kind == "flood":
-            count = int(raw.get("count", FLOOD_COUNT))
+            count = _json_value(raw, "count", int, FLOOD_COUNT)
             if count < 1:
                 raise ConfigError("flood count must be >= 1")
             return Flood(count=count,
                          forge_source=str(raw.get("forge_source", "attacker")))
         if kind == "tamper":
-            xor = int(raw.get("xor", 1))
+            xor = _json_value(raw, "xor", int, 1)
             if not 1 <= xor <= 255:
                 raise ConfigError("tamper xor must be in [1, 255]")
-            offset = int(raw.get("offset", 0))
+            offset = _json_value(raw, "offset", int, 0)
             if offset < 0:
                 raise ConfigError("tamper offset must be >= 0")
-            message = int(raw["message"])
+            message = _json_value(raw, "message", int, None)
             if message < 0:
                 raise ConfigError("tamper message must be >= 0")
             payload = raw.get("payload")
             return Tamper(message=message,
                           payload=None if payload is None else str(payload),
                           offset=offset, xor=xor,
-                          fallback_to_blob=bool(raw.get("fallback_to_blob", True)))
+                          fallback_to_blob=_json_value(raw, "fallback_to_blob",
+                                                       bool, True))
         if kind == "replay":
-            return Replay(message=int(raw["message"]))
+            return Replay(message=_json_value(raw, "message", int, None))
         try:
             knowledge = ObserverKnowledge(raw.get("knowledge", "none"))
         except ValueError:

@@ -160,11 +160,6 @@ def _ladder_bodies(payloads) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
     return tuple(found[ptype] for ptype in _LADDER)  # type: ignore[return-value]
 
 
-def _id_bytes(name: str) -> bytes:
-    """ID payload body bytes for a principal name, as covered by the hashes."""
-    return bytes([ID_TYPE_FQDN]) + name.encode()
-
-
 @dataclass
 class HandshakeSession:
     """Single-owner state machine for one peer of one handshake."""
@@ -195,8 +190,8 @@ class HandshakeSession:
     peer_public: bytes = b""
     _exponent: int = field(default=0, repr=False)
     _sa_offer: bytes = b""      # SA bytes from message 1
-    _id_i: bytes = b""          # initiator ID body bytes
-    _id_r: bytes = b""          # responder ID body bytes
+    _id_i: IdBody | None = None   # initiator ID, covered by HASH_I
+    _id_r: IdBody | None = None   # responder ID, covered by HASH_R
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -353,7 +348,7 @@ class HandshakeSession:
         self._exponent, self.own_public = crypto.dh_keypair(self.group, self.rng)
         self.own_nonce = self.rng.randbytes(NONCE_LEN)
         self._sa_offer = codec.DEFAULT_SA_PROPOSAL
-        self._id_i = _id_bytes(self.name)
+        self._id_i = IdBody(ID_TYPE_FQDN, self.name.encode())
 
         msg = self._ladder_message(self._sa_offer, [])
         self.state = SessionState.SENT1
@@ -401,15 +396,16 @@ class HandshakeSession:
         self.peer_nonce = nonce.nonce
         self.peer_public = ke.public_value
         self._sa_offer = sa.proposal
-        self._id_i = bytes([peer_id.id_type]) + peer_id.identity
-        self._id_r = _id_bytes(self.name)
+        self._id_i = peer_id
+        self._id_r = IdBody(ID_TYPE_FQDN, self.name.encode())
         self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
                                            shared, self.cky_i, self.cky_r)
 
         sa_echo = sa.proposal
         hash_r = crypto.compute_hash_r(self.skeyid.skeyid, self.own_public,
                                        self.peer_public, self.cky_r,
-                                       self.cky_i, sa_echo, self._id_r)
+                                       self.cky_i, sa_echo,
+                                       codec.encode_body(self._id_r))
         reply = self._ladder_message(sa_echo, self._auth_bodies(hash_r))
         self.state = SessionState.SENT2
         self._record(op, emitted="msg2")
@@ -449,7 +445,7 @@ class HandshakeSession:
 
         self.peer_nonce = nonce.nonce
         self.peer_public = ke.public_value
-        self._id_r = bytes([peer_id.id_type]) + peer_id.identity
+        self._id_r = peer_id
 
         self.counters.dh_ops += 1
         try:
@@ -462,7 +458,7 @@ class HandshakeSession:
                                       self.cky_i, self.cky_r)
         hash_r = crypto.compute_hash_r(skeyid.skeyid, self.peer_public,
                                        self.own_public, self.cky_r, self.cky_i,
-                                       sa.proposal, self._id_r)
+                                       sa.proposal, codec.encode_body(self._id_r))
         self.counters.sig_verifies += 1
         if not crypto.verify(cert.public_key, hash_r, signature):
             self._fail(op, "sig-verify")
@@ -471,7 +467,8 @@ class HandshakeSession:
 
         hash_i = crypto.compute_hash_i(skeyid.skeyid, self.own_public,
                                        self.peer_public, self.cky_i,
-                                       self.cky_r, self._sa_offer, self._id_i)
+                                       self.cky_r, self._sa_offer,
+                                       codec.encode_body(self._id_i))
         flags = codec.FLAG_ENCRYPTION if self.variant is Variant.IMPROVED else 0
         reply = codec.build_message(self.cky_i, self.cky_r,
                                     self._auth_bodies(hash_i), flags=flags)
@@ -490,8 +487,7 @@ class HandshakeSession:
         if cert_body is None or sig_body is None:
             self._fail(op, "malformed")
             return False
-        auth = self._open_peer_auth(cert_body, sig_body,
-                                    IdBody(self._id_i[0], self._id_i[1:]))
+        auth = self._open_peer_auth(cert_body, sig_body, self._id_i)
         if isinstance(auth, str):
             self._fail(op, auth)
             return False
@@ -499,7 +495,7 @@ class HandshakeSession:
 
         hash_i = crypto.compute_hash_i(self.skeyid.skeyid, self.peer_public,
                                        self.own_public, self.cky_i, self.cky_r,
-                                       self._sa_offer, self._id_i)
+                                       self._sa_offer, codec.encode_body(self._id_i))
         self.counters.sig_verifies += 1
         if not crypto.verify(cert.public_key, hash_i, signature):
             self._fail(op, "sig-verify")

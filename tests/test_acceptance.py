@@ -111,8 +111,8 @@ def _sa_ke_positions(wire: bytes) -> list[int]:
 
 
 def _blob_positions(wire: bytes) -> list[int]:
-    start, end = codec.encrypted_chain_range(wire)
-    return list(range(start, end))
+    start = len(wire) - len(codec.decode_message(wire).encrypted_chain)
+    return list(range(start, len(wire)))
 
 
 def test_acceptance_3_tamper_detection_ordering():

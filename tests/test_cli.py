@@ -144,6 +144,15 @@ def test_attack_malformed_scenario_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_attack_string_seed_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "string-seed.json"
+    bad.write_text('{"seed": "abc"}')
+    code, _, err = run_cli(capsys, "attack", "--scenario", str(bad))
+    assert code == 2
+    assert "error:" in err and "seed" in err
+    assert "Traceback" not in err
+
+
 def test_attack_seed_flag_overrides_scenario_seed(capsys):
     code, out, _ = run_cli(capsys, "attack", "--scenario",
                            "scenarios/observed-honest.json",

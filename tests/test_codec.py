@@ -12,9 +12,7 @@ from ikedev.codec import (
     CertBody,
     DevBody,
     IdBody,
-    IsakmpHeader,
     IsakmpMessage,
-    IsakmpPayload,
     KeBody,
     NonceBody,
     PayloadType,
@@ -197,31 +195,27 @@ def test_parse_payload_chain_rejects_empty_and_trailing():
         codec.parse_payload_chain(chain + b"\x00")
 
 
-# --- encode-side chain validation --------------------------------------------
-
-def test_encode_rejects_broken_links():
-    payloads = [IsakmpPayload(next_payload=0, body=SaBody(b"x")),
-                IsakmpPayload(next_payload=0, body=KeBody(b"y"))]
-    header = IsakmpHeader(
-        initiator_cookie=b"A" * 8, responder_cookie=b"B" * 8,
-        next_payload=PayloadType.SA, exchange_type=codec.EXCHANGE_AGGRESSIVE,
-        flags=0, message_id=0, length=0)
-    with pytest.raises(ChainMismatch):
-        codec.encode_message(IsakmpMessage(header, payloads, None))
-
-
-def test_encode_rejects_header_link_mismatch():
-    msg = _fixed_msg1()
-    msg.header.next_payload = PayloadType.KE
-    with pytest.raises(ChainMismatch):
-        codec.encode_message(msg)
-
+# --- encode side ---------------------------------------------------------------
 
 def test_encode_rejects_blob_without_flag():
     msg = _fixed_msg1()
     bad = IsakmpMessage(msg.header, msg.payloads, b"\x00" * 33)
     with pytest.raises(ChainMismatch):
         codec.encode_message(bad)
+
+
+def test_encode_encodes_each_body_once(monkeypatch):
+    encode = codec.encode_body
+    calls = []
+
+    def counting_encode(body):
+        calls.append(body)
+        return encode(body)
+
+    monkeypatch.setattr(codec, "encode_body", counting_encode)
+    bodies = [SaBody(b"x"), KeBody(b"y"), NonceBody(b"z" * 8), IdBody(2, b"a")]
+    codec.encode_message(codec.build_message(b"A" * 8, b"B" * 8, bodies))
+    assert calls == bodies
 
 
 # --- DEV payload specifics ----------------------------------------------------
@@ -247,7 +241,7 @@ def test_dev_body_rejects_wrong_format_version():
     dev = DevBody(nonce=b"\x01" * 16, ciphertext=b"\x02" * 16)
     wire = bytearray(codec.encode_message(
         codec.build_message(b"A" * 8, b"B" * 8, [dev])))
-    wire[codec.HEADER_LEN + 4] = 2  # format_version byte
+    wire[codec.HEADER_LEN + 4] = 2  # DEV format byte
     with pytest.raises(BadVersion):
         codec.decode_message(bytes(wire))
 
@@ -285,20 +279,6 @@ def test_build_message_rejects_blob_without_flag():
     with pytest.raises(ChainMismatch):
         codec.build_message(b"A" * 8, b"B" * 8, [SaBody(b"x")],
                             encrypted_chain=b"\x00" * 33)
-
-
-def test_encrypted_chain_range():
-    plain = codec.encode_message(_fixed_msg1())
-    assert codec.encrypted_chain_range(plain) is None
-
-    blob = b"\xee" * 48
-    msg = codec.build_message(b"A" * 8, b"B" * 8, [SaBody(b"x")],
-                              flags=codec.FLAG_ENCRYPTION,
-                              encrypted_chain=blob)
-    wire = codec.encode_message(msg)
-    start, end = codec.encrypted_chain_range(wire)
-    assert wire[start:end] == blob
-    assert end == len(wire)
 
 
 # --- totality fuzz --------------------------------------------------------------

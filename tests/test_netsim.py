@@ -222,7 +222,8 @@ def test_blob_fallback_flips_the_offset_byte_of_the_blob():
     for wire in improved[:2]:
         out = tamper_in_flight(wire, Tamper(message=0, payload="SA", offset=5))
         diff = [i for i in range(len(out)) if out[i] != wire[i]]
-        assert diff == [codec.encrypted_chain_range(wire)[0] + 5]
+        blob = codec.decode_message(wire).encrypted_chain
+        assert diff == [len(wire) - len(blob) + 5]
     with pytest.raises(SelectorMiss):   # offset beyond the blob
         tamper_in_flight(improved[0], Tamper(message=0, payload="SA",
                                              offset=len(improved[0])))
@@ -435,6 +436,22 @@ def test_from_dict_round_trip_minimal():
      "unknown"),
     ({"adversary": [{"action": "tamper", "message": -1}]}, "message"),
     ({"group": "modp1024"}, "DH group"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"variant": "improved", "disable_dos_gate": "false"}, "disable_dos_gate"),
+    ({"handshake": 0}, "handshake"),
+    ({"principals": [{"name": "a", "role": "initiator", "token": "no"}]},
+     "token"),
+    ({"adversary": [{"action": "flood", "count": True}]}, "count"),
+    ({"adversary": [{"action": "flood", "count": "5"}]}, "count"),
+    ({"adversary": [{"action": "tamper", "message": "0"}]}, "message"),
+    ({"adversary": [{"action": "tamper", "message": 0, "offset": 1.0}]},
+     "offset"),
+    ({"adversary": [{"action": "tamper", "message": 0, "xor": "1"}]}, "xor"),
+    ({"adversary": [{"action": "tamper", "message": 0,
+                     "fallback_to_blob": 1}]}, "fallback_to_blob"),
+    ({"adversary": [{"action": "replay", "message": False}]}, "message"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -267,7 +267,7 @@ def _flip_payload_byte(wire: bytes, ptype: PayloadType, delta: int = 0x01) -> by
 
 
 def _flip_blob_byte(wire: bytes, delta: int = 0x01) -> bytes:
-    start, _ = codec.encrypted_chain_range(wire)
+    start = len(wire) - len(codec.decode_message(wire).encrypted_chain)
     return wire[:start] + bytes([wire[start] ^ delta]) + wire[start + 1:]
 
 
@@ -326,7 +326,7 @@ def test_improved_dev_tamper_rejected_at_the_gate(fleet):
             return wire
         r = codec.payload_byte_ranges(wire)[0]
         assert r.type is PayloadType.DEV
-        j = r.body_start + 1  # first sealed byte, past format_version
+        j = r.body_start + 1  # first sealed byte, past the DEV format byte
         return wire[:j] + bytes([wire[j] ^ 0x01]) + wire[j + 1:]
 
     drive_handshake(ini, rsp, mutate=mutate)
