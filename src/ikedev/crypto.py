@@ -33,9 +33,51 @@ PUBLIC_KEY_LEN = 32
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
-    """Independent sub-generator for (seed, label); stable across call order."""
+    """Independent sub-generator for (seed, label); stable across call order.
+
+    Its stream is ``random.Random(int(sha256(f"{seed}|{label}")))``, seeded
+    on first use: a session that never draws (a responder rejecting a forged
+    message 1 at the gate) skips the ~7 us Mersenne Twister set-up.
+    """
     digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return _SeedOnFirstUse(int.from_bytes(digest, "big"))
+
+
+def _switching(name: str, seeded: bool):
+    """A method that makes the object a plain ``random.Random``, seeded with
+    the kept seed if ``seeded``, and then calls its ``name``.  A bound method
+    taken before the switch (``choices`` keeps ``self.random``) finds no
+    kept seed when called again."""
+    def method(self, *args, **kwargs):
+        seed = self.__dict__.pop("_kept_seed", None)
+        if seed is not None:
+            self.__class__ = random.Random
+            if seeded:
+                self.seed(seed)
+        return getattr(self, name)(*args, **kwargs)
+    return method
+
+
+class _SeedOnFirstUse(random.Random):
+    """A ``random.Random`` that keeps its seed until first used.
+
+    Every draw reaches ``random`` or ``getrandbits`` (defining the latter
+    keeps ``_randbelow_with_getrandbits``), and ``getstate`` and
+    ``__reduce__`` (pickle, copy) read the state, so these seed first; a
+    first ``seed`` or ``setstate`` drops the kept seed instead.  After
+    either, later calls cost what they cost on a plain ``random.Random``.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._kept_seed = seed
+        self.gauss_next = None
+
+    random = _switching("random", seeded=True)
+    getrandbits = _switching("getrandbits", seeded=True)
+    getstate = _switching("getstate", seeded=True)
+    __reduce__ = _switching("__reduce__", seeded=True)
+    seed = _switching("seed", seeded=False)
+    setstate = _switching("setstate", seeded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +309,16 @@ class AeadSuite:
 AES256GCM = AeadSuite(name="aes256gcm", key_size=32, nonce_size=16, tag_size=16)
 
 
+# An AESGCM is a stateless function of its key, so one per key serves every
+# call and its key schedule (~2 us) is built once.  Bounded: a flood forges
+# under a fresh random key each time.
+_aesgcm = functools.lru_cache(maxsize=64)(AESGCM)
+
+
 def seal(suite: AeadSuite, key: bytes, rng: random.Random, plaintext: bytes) -> bytes:
     """Encrypt with a fresh random nonce; returns nonce || ciphertext || tag."""
     nonce = rng.randbytes(suite.nonce_size)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, b"")
+    return nonce + _aesgcm(key).encrypt(nonce, plaintext, b"")
 
 
 def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
@@ -280,7 +328,7 @@ def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
             f"ciphertext of {len(blob)} bytes cannot hold nonce and tag")
     nonce, ct = blob[:suite.nonce_size], blob[suite.nonce_size:]
     try:
-        return AESGCM(key).decrypt(nonce, ct, b"")
+        return _aesgcm(key).decrypt(nonce, ct, b"")
     except InvalidTag:
         raise AuthFailure("authentication tag mismatch") from None
 

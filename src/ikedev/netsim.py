@@ -183,14 +183,14 @@ class ScenarioConfig:
             raise ConfigError(f"duplicate principal names: {names}")
         adversary = tuple(_action_from_dict(a) for a in raw.get("adversary", []))
         return cls(
-            name=str(raw.get("name", "scenario")),
+            name=_json_value(raw, "name", str, "scenario"),
             variant=variant,
             seed=_json_value(raw, "seed", int, 0),
             principals=principals,
             adversary=adversary,
             handshake=_json_value(raw, "handshake", bool, True),
             disable_dos_gate=_json_value(raw, "disable_dos_gate", bool, False),
-            group=str(raw.get("group", crypto.DESK_GROUP.name)),
+            group=_json_value(raw, "group", str, crypto.DESK_GROUP.name),
         )
 
 
@@ -200,7 +200,7 @@ _DEFAULT_PRINCIPALS = (
 )
 
 
-_JSON_KINDS = {int: "an integer", bool: "true or false"}
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _json_value(raw: dict, key: str, kind: type, default):
@@ -219,7 +219,7 @@ def _principal_from_dict(raw: dict) -> PrincipalConfig:
         role = Role(raw["role"])
     except ValueError:
         raise ConfigError(f"unknown role {raw['role']!r}") from None
-    return PrincipalConfig(name=str(raw["name"]), role=role,
+    return PrincipalConfig(name=_json_value(raw, "name", str, None), role=role,
                            token=_json_value(raw, "token", bool, True))
 
 
@@ -238,8 +238,8 @@ def _action_from_dict(raw: dict) -> Action:
             count = _json_value(raw, "count", int, FLOOD_COUNT)
             if count < 1:
                 raise ConfigError("flood count must be >= 1")
-            return Flood(count=count,
-                         forge_source=str(raw.get("forge_source", "attacker")))
+            return Flood(count=count, forge_source=_json_value(
+                raw, "forge_source", str, "attacker"))
         if kind == "tamper":
             xor = _json_value(raw, "xor", int, 1)
             if not 1 <= xor <= 255:
@@ -251,8 +251,13 @@ def _action_from_dict(raw: dict) -> Action:
             if message < 0:
                 raise ConfigError("tamper message must be >= 0")
             payload = raw.get("payload")
-            return Tamper(message=message,
-                          payload=None if payload is None else str(payload),
+            if payload is not None:
+                payload = _json_value(raw, "payload", str, None)
+                if payload.upper() not in codec.PayloadType.__members__:
+                    raise ConfigError(
+                        f"unknown tamper payload {payload!r}; choose from "
+                        f"{sorted(codec.PayloadType.__members__)}")
+            return Tamper(message=message, payload=payload,
                           offset=offset, xor=xor,
                           fallback_to_blob=_json_value(raw, "fallback_to_blob",
                                                        bool, True))

@@ -153,6 +153,16 @@ def test_attack_string_seed_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_attack_unknown_tamper_payload_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "unknown-payload.json"
+    bad.write_text('{"adversary": [{"action": "tamper", "message": 0, '
+                   '"payload": "XYZ"}]}')
+    code, _, err = run_cli(capsys, "attack", "--scenario", str(bad))
+    assert code == 2
+    assert "error:" in err and "XYZ" in err
+    assert "Traceback" not in err
+
+
 def test_attack_seed_flag_overrides_scenario_seed(capsys):
     code, out, _ = run_cli(capsys, "attack", "--scenario",
                            "scenarios/observed-honest.json",

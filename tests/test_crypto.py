@@ -7,14 +7,17 @@ its fast paths, the fixed-base table on ``desk64`` and OpenSSL on
 ``modp2048``, against ``pow``.
 """
 
+import copy
 import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +335,19 @@ def test_open_sealed_rejects_every_single_byte_flip():
             crypto.open_sealed(crypto.AES256GCM, key, bad)
 
 
+def test_cached_cipher_never_crosses_keys():
+    rng = random.Random(8)
+    key, other = rng.randbytes(32), rng.randbytes(32)
+    blob = crypto.seal(crypto.AES256GCM, key, rng, b"one key each")
+    assert crypto.open_sealed(crypto.AES256GCM, key, blob) == b"one key each"
+    with pytest.raises(AuthFailure):
+        crypto.open_sealed(crypto.AES256GCM, other, blob)
+    nonce = random.Random(9).randbytes(crypto.AES256GCM.nonce_size)
+    for k in (key, other, key):
+        assert (crypto.seal(crypto.AES256GCM, k, random.Random(9), b"same")
+                == nonce + AESGCM(k).encrypt(nonce, b"same", b""))
+
+
 def test_open_sealed_too_short_is_malformed():
     with pytest.raises(MalformedCiphertext):
         crypto.open_sealed(crypto.AES256GCM, b"\x00" * 32, b"\x00" * 31)
@@ -383,3 +399,44 @@ def test_derive_rng_reproducible_and_label_separated():
     assert a1 == a2
     assert a1 != b
     assert a1 != c
+
+
+def _seeded_random(seed: int, label: str) -> random.Random:
+    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.randbytes(33),
+    lambda r: r.getrandbits(300),
+    lambda r: r.random(),
+    lambda r: r.randrange(10**30),
+    lambda r: r.getstate(),
+    lambda r: r.choices(range(1000), k=5),   # keeps a bound r.random
+], ids=["randbytes", "getrandbits", "random", "randrange", "getstate",
+        "choices"])
+def test_derive_rng_gives_the_stream_of_a_seeded_random(draw):
+    rng, reference = crypto.derive_rng(7, "alpha"), _seeded_random(7, "alpha")
+    assert [draw(rng) for _ in range(3)] == [draw(reference) for _ in range(3)]
+    assert type(rng) is random.Random
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["deepcopy", "pickle"])
+def test_derive_rng_copies_before_the_first_draw(clone):
+    rng = crypto.derive_rng(7, "alpha")
+    twin = clone(rng)
+    expected = _seeded_random(7, "alpha").randbytes(32)
+    assert twin.randbytes(32) == expected
+    assert rng.randbytes(32) == expected
+
+
+def test_derive_rng_reseeds_before_the_first_draw():
+    rng = crypto.derive_rng(7, "alpha")
+    rng.seed(5)
+    assert rng.randbytes(32) == random.Random(5).randbytes(32)
+    rng = crypto.derive_rng(7, "alpha")
+    rng.setstate(random.Random(6).getstate())
+    assert rng.randbytes(32) == random.Random(6).randbytes(32)
+    assert type(rng) is random.Random

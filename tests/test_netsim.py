@@ -452,6 +452,14 @@ def test_from_dict_round_trip_minimal():
     ({"adversary": [{"action": "tamper", "message": 0,
                      "fallback_to_blob": 1}]}, "fallback_to_blob"),
     ({"adversary": [{"action": "replay", "message": False}]}, "message"),
+    ({"adversary": [{"action": "tamper", "message": 0, "payload": "XYZ"}]},
+     "payload"),
+    ({"adversary": [{"action": "tamper", "message": 0, "payload": 55}]},
+     "payload"),
+    ({"name": 7}, "name"),
+    ({"principals": [{"name": 7, "role": "initiator"}]}, "name"),
+    ({"adversary": [{"action": "flood", "forge_source": ["x"]}]},
+     "forge_source"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -5,11 +5,12 @@ and state-machine safety under arbitrary redelivery of captured wires.
 """
 
 import itertools
+import random
 
 import pytest
 
 from conftest import Fleet, drive_handshake
-from ikedev import codec, crypto
+from ikedev import codec, crypto, netsim
 from ikedev.codec import CertBody, DevBody, IdBody, KeBody, NonceBody, PayloadType, SaBody
 from ikedev.errors import DeviceAbsent, IkeDevError
 from ikedev.protocol import (
@@ -158,6 +159,25 @@ def test_gate_rejects_forged_msg1_before_any_dh(fleet):
     assert rsp.counters.messages_rejected_pre_dh == 10
     assert rsp.counters.decrypt_failures == 10
     assert rsp.state is SessionState.IDLE  # drops, not failures
+
+
+def test_gated_reject_seeds_no_rng(fleet, monkeypatch):
+    wire = netsim._forged_msg1(Variant.IMPROVED, random.Random(4),
+                               crypto.DESK_GROUP, "attacker")
+    seeds = []
+    plain_seed = random.Random.seed
+
+    def counting_seed(self, *args, **kwargs):
+        seeds.append(args)
+        return plain_seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    rsp = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                        replay_guard=ReplayGuard())
+    assert rsp.responder_on_msg1(codec.decode_message(wire)) is None
+    assert rsp.counters.messages_rejected_pre_dh == 1
+    assert rsp.counters.dh_ops == 0
+    assert seeds == []
 
 
 def test_gate_rejects_msg1_without_dev_payload(fleet):
