@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -136,10 +135,9 @@ def _print_counters(report: netsim.ScenarioReport) -> None:
     for name, counters in report.principal_counters.items():
         fields = ", ".join(f"{k}={v}" for k, v in counters.items())
         _emit(f"counters[{name}]: {fields}")
-    for event, run in itertools.groupby(report.failure_trace):
+    for event in report.failure_trace:
         line = f"failure: {event['principal']} {event['op']}: {event['failure']}"
-        count = sum(1 for _ in run)
-        _emit(line if count == 1 else f"{line} (x{count})")
+        _emit(line if event["count"] == 1 else f"{line} (x{event['count']})")
 
 
 # ---------------------------------------------------------------------------

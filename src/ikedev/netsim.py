@@ -102,6 +102,10 @@ class Flood:
     count: int
     forge_source: str = "attacker"
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ConfigError("flood count must be >= 1")
+
 
 @dataclass(frozen=True)
 class Tamper:
@@ -122,6 +126,14 @@ class Tamper:
     offset: int = 0
     xor: int = 0x01
     fallback_to_blob: bool = True
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.xor <= 255:
+            raise ConfigError("tamper xor must be in [1, 255]")
+        if self.offset < 0:
+            raise ConfigError("tamper offset must be >= 0")
+        if self.message < 0:
+            raise ConfigError("tamper message must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -235,21 +247,10 @@ def _action_from_dict(raw: dict) -> Action:
         raise ConfigError(f"unknown fields for {kind}: {sorted(extra)}")
     try:
         if kind == "flood":
-            count = _json_value(raw, "count", int, FLOOD_COUNT)
-            if count < 1:
-                raise ConfigError("flood count must be >= 1")
-            return Flood(count=count, forge_source=_json_value(
-                raw, "forge_source", str, "attacker"))
+            return Flood(count=_json_value(raw, "count", int, FLOOD_COUNT),
+                         forge_source=_json_value(
+                             raw, "forge_source", str, "attacker"))
         if kind == "tamper":
-            xor = _json_value(raw, "xor", int, 1)
-            if not 1 <= xor <= 255:
-                raise ConfigError("tamper xor must be in [1, 255]")
-            offset = _json_value(raw, "offset", int, 0)
-            if offset < 0:
-                raise ConfigError("tamper offset must be >= 0")
-            message = _json_value(raw, "message", int, None)
-            if message < 0:
-                raise ConfigError("tamper message must be >= 0")
             payload = raw.get("payload")
             if payload is not None:
                 payload = _json_value(raw, "payload", str, None)
@@ -257,8 +258,10 @@ def _action_from_dict(raw: dict) -> Action:
                     raise ConfigError(
                         f"unknown tamper payload {payload!r}; choose from "
                         f"{sorted(codec.PayloadType.__members__)}")
-            return Tamper(message=message, payload=payload,
-                          offset=offset, xor=xor,
+            return Tamper(message=_json_value(raw, "message", int, None),
+                          payload=payload,
+                          offset=_json_value(raw, "offset", int, 0),
+                          xor=_json_value(raw, "xor", int, 1),
                           fallback_to_blob=_json_value(raw, "fallback_to_blob",
                                                        bool, True))
         if kind == "replay":
@@ -305,17 +308,16 @@ def tamper_in_flight(data: bytes, action: Tamper) -> bytes:
             raise SelectorMiss(f"message undecodable: {exc}") from None
         wanted = action.payload.upper()
         body = next((r for r in ranges if r.type.name == wanted), None)
-        if body is not None and 0 <= pos < body.body_end - body.body_start:
+        if body is not None and pos < body.body_end - body.body_start:
             pos += body.body_start
         else:
             blob_start = ranges[-1].body_end if ranges else codec.HEADER_LEN
-            if not (action.fallback_to_blob
-                    and 0 <= pos < len(data) - blob_start):
+            if not (action.fallback_to_blob and pos < len(data) - blob_start):
                 raise SelectorMiss(
                     f"offset {pos} is in no clear {wanted} body"
                     + (" and beyond the blob" if action.fallback_to_blob else ""))
             pos += blob_start
-    if not 0 <= pos < len(data):
+    if pos >= len(data):
         raise SelectorMiss(f"offset {pos} beyond message of {len(data)} bytes")
     return data[:pos] + bytes([data[pos] ^ (action.xor & 0xFF)]) + data[pos + 1:]
 
@@ -424,40 +426,43 @@ def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
 
 @dataclass
 class Principal:
+    """Key material, a replay guard and the totals of settled sessions."""
     name: str
     role: Role
     token: SecurityToken | None
     file_identity: FileIdentity | None
     replay_guard: ReplayGuard | None
-    sessions: list[HandshakeSession] = field(default_factory=list)
+    opened: int = 0
+    counters: Counters = field(default_factory=Counters)
+    backends: set[str] = field(default_factory=set)
 
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
         """Open this principal's next session; its RNG is keyed by ordinal."""
         session = HandshakeSession(
             role=self.role, variant=variant, name=self.name,
-            rng=crypto.derive_rng(seed, f"session|{self.name}|{len(self.sessions)}"),
+            rng=crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
             group=group, token=self.token, file_identity=self.file_identity,
             replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate)
-        self.sessions.append(session)
+        self.opened += 1
         return session
 
-    def counters(self) -> Counters:
-        total = Counters()
-        for session in self.sessions:
-            total.merge(session.counters)
-        return total
+    def settle(self, session: HandshakeSession) -> None:
+        """Add a finished session into the totals; call once per session."""
+        self.counters.merge(session.counters)
+        if session.signature_backend is not None:
+            self.backends.add(session.signature_backend)
 
     def signature_backend(self) -> str | None:
-        backends = {s.signature_backend for s in self.sessions
-                    if s.signature_backend is not None}
-        if not backends:
+        if not self.backends:
             return None
-        return backends.pop() if len(backends) == 1 else "mixed"
+        return next(iter(self.backends)) if len(self.backends) == 1 else "mixed"
 
 
 @dataclass
 class ScenarioReport:
+    """What one run did.  A run of equal consecutive ``message_log`` or
+    ``failure_trace`` entries is one entry whose ``count`` says how many."""
     scenario: str
     variant: str
     seed: int
@@ -489,6 +494,21 @@ class _ObserverState:
     token: SecurityToken | None
     known_serials: set[bytes] = field(default_factory=set)
     findings: list[dict] = field(default_factory=list)
+
+
+def _fold_into(entries: list[dict], entry: dict) -> None:
+    """Append ``entry`` with ``count`` 1, or count it on the last entry when
+    that agrees on all else and its indexes run on to ``entry``'s ``index``:
+    a run of equal entries costs the report one entry."""
+    if entries:
+        last = entries[-1]
+        if (all(last[k] == v for k, v in entry.items() if k != "index")
+                and ("index" not in entry
+                     or last["index"] + last["count"] == entry["index"])):
+            last["count"] += 1
+            return
+    entry["count"] = 1
+    entries.append(entry)
 
 
 def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
@@ -618,12 +638,13 @@ def _run(config: ScenarioConfig,
     failure_trace: list[dict] = []
 
     def drain(principal: Principal, session: HandshakeSession) -> None:
-        """Trace a finished session's failures; each session is drained once."""
+        """Trace a finished session's failures and settle it; once each."""
         for event in session.events:
             if event.failure is not None:
-                failure_trace.append({"principal": principal.name,
-                                      "op": event.op,
-                                      "failure": event.failure})
+                _fold_into(failure_trace, {"principal": principal.name,
+                                           "op": event.op,
+                                           "failure": event.failure})
+        principal.settle(session)
 
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
@@ -646,16 +667,18 @@ def _run(config: ScenarioConfig,
                 wire, _ = sock.recvfrom(65535)
             except OSError as exc:
                 delivered = False
-                failure_trace.append({"principal": dst, "op": "recv",
-                                      "failure": f"udp:{type(exc).__name__}"})
+                _fold_into(failure_trace, {
+                    "principal": dst, "op": "recv",
+                    "failure": f"udp:{type(exc).__name__}"})
         decoded = None
         payload_names, blob_bytes = [], 0
         if delivered:
             try:
                 decoded = codec.decode_message(wire)
             except CodecError as exc:
-                failure_trace.append({"principal": dst, "op": "decode",
-                                      "failure": f"codec:{type(exc).__name__}"})
+                _fold_into(failure_trace, {
+                    "principal": dst, "op": "decode",
+                    "failure": f"codec:{type(exc).__name__}"})
         if decoded is not None:
             payload_names = [p.type.name for p in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
@@ -665,23 +688,21 @@ def _run(config: ScenarioConfig,
                     obs.findings.append({"message": index,
                                          "payload": finding.payload,
                                          "hex": finding.plaintext.hex()})
-        message_log.append({"index": index, "src": src, "dst": dst,
-                            "kind": label or kind, "size": len(wire),
-                            "payloads": payload_names,
-                            "blob_bytes": blob_bytes,
-                            "tampered": bool(hits), "delivered": delivered})
+        _fold_into(message_log, {"index": index, "src": src, "dst": dst,
+                                 "kind": label or kind, "size": len(wire),
+                                 "payloads": payload_names,
+                                 "blob_bytes": blob_bytes,
+                                 "tampered": bool(hits),
+                                 "delivered": delivered})
         return decoded
 
     def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
                          kind: str) -> None:
         session = principal.new_session(config.variant, seed, group,
                                         config.disable_dos_gate)
-        if msg is None:
-            return
-        try:
-            getattr(session, _STEP[kind])(msg)
-        except DeviceAbsent:
-            pass
+        if msg is not None:
+            with contextlib.suppress(DeviceAbsent):
+                getattr(session, _STEP[kind])(msg)
         drain(principal, session)
 
     # Phase 1: floods.
@@ -749,7 +770,7 @@ def _run(config: ScenarioConfig,
         established=established,
         skeyid_match=skeyid_match,
         flood_sent=flood_sent,
-        principal_counters={name: p.counters().to_dict()
+        principal_counters={name: p.counters.to_dict()
                             for name, p in sorted(principals.items())},
         sign_backends={name: p.signature_backend()
                        for name, p in sorted(principals.items())},

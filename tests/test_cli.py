@@ -131,6 +131,15 @@ def test_attack_runs_shipped_scenarios(capsys):
     assert "messages_rejected_pre_dh=1000" in out or "1000" in out
 
 
+def test_attack_prints_a_repeated_failure_once_with_its_count(capsys):
+    code, out, _ = run_cli(capsys, "attack", "--scenario",
+                           "scenarios/flood-improved.json")
+    assert code == 0
+    failures = [line for line in out.splitlines()
+                if line.startswith("failure:")]
+    assert failures == ["failure: bob responder_on_msg1: bad-dev (x1000)"]
+
+
 def test_attack_missing_scenario_file(capsys):
     code, _, err = run_cli(capsys, "attack", "--scenario", "/no/such.json")
     assert code == 2
@@ -227,6 +236,14 @@ def test_matrix_structured_document(capsys):
     assert set(doc["rows"]) == {"baseline", "improved"}
     assert doc["rows"]["improved"]["certificate_storage"] == "device"
     assert doc["seed"] == cli.DEFAULT_SEED
+
+
+def test_matrix_structured_output_is_not_mostly_flood(capsys):
+    # each flood of 1000 packets is one log entry and at most one trace entry
+    code, out, _ = run_cli(capsys, "matrix", "--format", "structured",
+                           "--seed", "1729")
+    assert code == 0
+    assert len(out.encode()) < 64 * 1024
 
 
 def test_matrix_on_modp2048_gives_the_papers_table(capsys):

@@ -42,6 +42,27 @@ def scenario(name="t", variant=Variant.IMPROVED, seed=5, adversary=(),
                           **kwargs)
 
 
+def _unfolded(report: dict) -> dict:
+    """``report`` (a ``ScenarioReport.to_dict()``) with each message-log and
+    failure-trace entry expanded into its ``count`` entries, the i-th of
+    them at ``index + i``, and ``count`` dropped: one entry per datagram and
+    per failure, as reports were before equal entries were folded."""
+    def expand(entry: dict) -> list[dict]:
+        rest = {k: v for k, v in entry.items() if k != "count"}
+        if "index" not in rest:
+            return [rest] * entry["count"]
+        return [{**rest, "index": rest["index"] + i}
+                for i in range(entry["count"])]
+
+    return {**report, **{key: [e for entry in report[key] for e in expand(entry)]
+                         for key in ("message_log", "failure_trace")}}
+
+
+def _canonical(document: dict) -> bytes:
+    """The bytes ``ScenarioReport.to_json`` gives for ``document``."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
 # --- determinism -------------------------------------------------------------
 
 def test_reports_are_byte_identical_across_runs():
@@ -64,38 +85,52 @@ def test_report_json_is_canonical():
         parsed, sort_keys=True, separators=(",", ":")).encode()
 
 
-# SHA-256 over the concatenated to_json() of the battery for seeds 0-4,
-# baseline then improved, each battery in order.  Recorded before the
-# provisioning and codec speed-ups; any later speed-up must keep it.
+# SHA-256 over the battery for seeds 0-4, baseline then improved, each
+# battery in order.  BATTERY_DIGEST hashes the canonical JSON of each report
+# unfolded to one log entry per datagram and one trace entry per failure: it
+# was recorded before the provisioning and codec speed-ups and before equal
+# entries were folded, and any later change that keeps behaviour must keep
+# it.  BATTERY_FOLDED_DIGEST hashes to_json() itself.
 BATTERY_DIGEST = "d9f605889f400b495715eb95def977eef1ec262b26e2233c7ab425034c299ff2"
+BATTERY_FOLDED_DIGEST = (
+    "368dec0aaf149292e52ac55efde9fb6a9027178c4bfa79a98efc7cb2ea56a48f")
+
+
+def _digests(reports) -> tuple[str, str]:
+    """SHA-256 over the unfolded and over the folded bytes of ``reports``."""
+    unfolded, folded = hashlib.sha256(), hashlib.sha256()
+    for report in reports:
+        unfolded.update(_canonical(_unfolded(report.to_dict())))
+        folded.update(report.to_json())
+    return unfolded.hexdigest(), folded.hexdigest()
 
 
 def test_battery_reports_match_the_recorded_digest():
-    digest = hashlib.sha256()
-    for seed in range(5):
-        for variant in (Variant.BASELINE, Variant.IMPROVED):
-            for cfg in battery_configs(variant, seed):
-                digest.update(run_scenario(cfg).to_json())
-    assert digest.hexdigest() == BATTERY_DIGEST
+    assert _digests(
+        run_scenario(cfg) for seed in range(5)
+        for variant in (Variant.BASELINE, Variant.IMPROVED)
+        for cfg in battery_configs(variant, seed)
+    ) == (BATTERY_DIGEST, BATTERY_FOLDED_DIGEST)
 
 
-# The gate-off battery of seeds 0-1, then every shipped scenario at seeds 0-1.
+# The gate-off battery of seeds 0-1, then every shipped scenario at seeds 0-1,
+# unfolded and folded as above.
 GATE_OFF_AND_SCENARIOS_DIGEST = (
     "838c1b49fdc2f3d060bc93e01c3bd4c730b5b4da9c42bc36fe4e94ec8d9e9933")
+GATE_OFF_AND_SCENARIOS_FOLDED_DIGEST = (
+    "24f868cc7afa943690ad6959222ba2311d3281be8df2c0697a5854a34d31ec36")
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_gate_off_battery_and_shipped_scenarios_match_the_recorded_digest():
-    digest = hashlib.sha256()
-    for seed in range(2):
-        for variant in (Variant.BASELINE, Variant.IMPROVED):
-            for cfg in battery_configs(variant, seed, disable_dos_gate=True):
-                digest.update(run_scenario(cfg).to_json())
-    for path in sorted(SCENARIO_DIR.glob("*.json")):
-        for seed in range(2):
-            cfg = dataclasses.replace(netsim.load_scenario(str(path)), seed=seed)
-            digest.update(run_scenario(cfg).to_json())
-    assert digest.hexdigest() == GATE_OFF_AND_SCENARIOS_DIGEST
+    configs = [cfg for seed in range(2)
+               for variant in (Variant.BASELINE, Variant.IMPROVED)
+               for cfg in battery_configs(variant, seed, disable_dos_gate=True)]
+    configs += [dataclasses.replace(netsim.load_scenario(str(path)), seed=seed)
+                for path in sorted(SCENARIO_DIR.glob("*.json"))
+                for seed in range(2)]
+    assert _digests(run_scenario(cfg) for cfg in configs) == (
+        GATE_OFF_AND_SCENARIOS_DIGEST, GATE_OFF_AND_SCENARIOS_FOLDED_DIGEST)
 
 
 # --- provisioning ------------------------------------------------------------
@@ -198,15 +233,25 @@ def test_tamper_selector_misses():
         tamper_in_flight(b"\x00" * 10, Tamper(message=0, payload="SA"))
 
 
-def test_negative_payload_offset_is_a_selector_miss():
-    from conftest import Fleet, drive_handshake
-    base = drive_handshake(*Fleet().pair(Variant.BASELINE))
-    with pytest.raises(SelectorMiss):   # would reach the generic header
-        tamper_in_flight(base[0], Tamper(message=0, payload="KE", offset=-3))
-    for variant, payload in ((Variant.BASELINE, "KE"), (Variant.IMPROVED, "SA")):
-        with pytest.raises(SelectorMiss):   # in the clear chain, or the blob
-            run_scenario(scenario(variant=variant, seed=1, adversary=[
-                Tamper(message=0, payload=payload, offset=-3)]))
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"message": -1}, "message"),
+    ({"message": 0, "offset": -3}, "offset"),
+    ({"message": 0, "payload": "KE", "offset": -3}, "offset"),
+    ({"message": 0, "xor": 0}, "xor"),
+    ({"message": 0, "xor": 256}, "xor"),
+], ids=["message-1", "offset-3", "KE-offset-3", "xor0", "xor256"])
+def test_a_tamper_outside_its_bounds_is_a_config_error(kwargs, fragment):
+    # a negative offset would reach before the selected body, and an xor
+    # of 0 would log a tamper that changed no byte
+    with pytest.raises(ConfigError, match=fragment):
+        Tamper(**kwargs)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_flood_of_no_packets_is_a_config_error(count):
+    # it would send nothing and leave the report with no DoS verdict
+    with pytest.raises(ConfigError, match="count"):
+        Flood(count=count)
 
 
 def test_raw_offset_tamper_flips_exactly_one_byte():
@@ -332,8 +377,8 @@ def test_observer_handles_garbage_datagrams():
         variant=Variant.BASELINE,
         adversary=[observer, Tamper(message=0, offset=17)]))
     assert not any(f["message"] == 0 for f in report.observer_findings)
-    assert report.failure_trace == [
-        {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
+    assert report.failure_trace == [{"principal": "bob", "op": "decode",
+                                     "failure": "codec:BadVersion", "count": 1}]
 
 
 def test_observed_datagrams_are_decoded_once(decoded):
@@ -366,11 +411,12 @@ def test_a_replayed_replay_goes_to_the_step_of_its_original(variant):
     # message 3 is the replay of message 2 (msg3), so it too is a msg3
     report = run_scenario(scenario(variant=variant, seed=1, adversary=[
         Replay(message=2), Replay(message=3)]))
-    assert [m["kind"] for m in report.message_log[3:]] == ["replay", "replay"]
+    log = _unfolded(report.to_dict())["message_log"]
+    assert [m["kind"] for m in log[3:]] == ["replay", "replay"]
     assert report.principal_counters["bob"]["messages_rejected_pre_dh"] == 0
-    assert report.failure_trace == 2 * [
+    assert report.failure_trace == [
         {"principal": "bob", "op": "responder_on_msg3",
-         "failure": "out-of-order"}]
+         "failure": "out-of-order", "count": 2}]
 
 
 def test_replay_index_out_of_range_is_config_error():
@@ -398,7 +444,8 @@ def test_the_tamper_bound_counts_floods_ladder_and_replays():
     script = [Flood(count=2), Replay(message=0)]   # 2 + 3 + 1 datagrams
     report = run_scenario(scenario(seed=1, adversary=[
         *script, Tamper(message=5, offset=0)]))
-    assert [m["tampered"] for m in report.message_log] == [False] * 5 + [True]
+    log = _unfolded(report.to_dict())["message_log"]
+    assert [m["tampered"] for m in log] == [False] * 5 + [True]
     with pytest.raises(ConfigError, match="tamper index 6"):
         run_scenario(scenario(seed=1, adversary=[
             *script, Tamper(message=6, offset=0)]))
@@ -485,19 +532,39 @@ def test_load_scenario_reads_the_shipped_files():
 
 # --- message accounting ------------------------------------------------------------
 
-def test_message_log_accounts_for_every_datagram():
+def test_message_log_accounts_for_every_datagram(monkeypatch):
+    sent = []   # every datagram is encoded once, floods included
+    encode = codec.encode_message
+    monkeypatch.setattr(codec, "encode_message",
+                        lambda msg: sent.append(msg) or encode(msg))
     report = run_scenario(scenario(
         variant=Variant.IMPROVED,
         adversary=[Flood(count=3), Tamper(message=4, payload="SA"),
                    Observe(ObserverKnowledge.NONE)]))
     log = report.message_log
-    assert [m["index"] for m in log] == list(range(len(log)))
+    # each entry's indexes run on from the last one's, through the last datagram
+    assert [m["index"] for m in log] == [0] + [
+        m["index"] + m["count"] for m in log[:-1]]
+    assert sum(m["count"] for m in log) == len(sent) == 5   # no message 3
     assert all(m["delivered"] for m in log)
-    assert sum(1 for m in log if m["tampered"]) == 1
-    assert sum(1 for m in log if m["kind"] == "flood") == 3
+    assert sum(m["count"] for m in log if m["tampered"]) == 1
+    assert sum(m["count"] for m in log if m["kind"] == "flood") == 3
     # improved handshake messages lead with the DEV payload
     msg1 = next(m for m in log if m["kind"] == "msg1")
     assert msg1["payloads"][0] == "DEV" and msg1["blob_bytes"] > 0
+
+
+@pytest.mark.parametrize("variant, trace", [
+    (Variant.IMPROVED, [{"principal": "bob", "op": "responder_on_msg1",
+                         "failure": "bad-dev", "count": 1000}]),
+    (Variant.BASELINE, []),
+])
+def test_a_flood_is_one_log_entry_and_one_trace_entry(variant, trace):
+    report = run_scenario(scenario(variant=variant, handshake=False,
+                                   adversary=[Flood(count=1000)]))
+    assert [(m["index"], m["kind"], m["count"]) for m in report.message_log] \
+        == [(0, "flood", 1000)]
+    assert report.failure_trace == trace
 
 
 def test_undecodable_datagram_is_logged_and_traced_once():
@@ -506,8 +573,8 @@ def test_undecodable_datagram_is_logged_and_traced_once():
     assert report.established is False
     assert report.message_log[0]["payloads"] == []
     assert report.message_log[0]["tampered"] is True
-    assert report.failure_trace == [
-        {"principal": "bob", "op": "decode", "failure": "codec:BadVersion"}]
+    assert report.failure_trace == [{"principal": "bob", "op": "decode",
+                                     "failure": "codec:BadVersion", "count": 1}]
 
 
 # --- UDP loopback hop -----------------------------------------------------------------
@@ -545,7 +612,7 @@ def test_udp_returns_at_once_when_the_initiator_gives_up():
     assert time.monotonic() - start < 5
     assert report.failure_trace == [
         {"principal": "alice", "op": "initiator_start",
-         "failure": "no device"}]
+         "failure": "no device", "count": 1}]
     assert report.established is False
     assert report.message_log == []
 
@@ -571,8 +638,8 @@ def test_a_failed_udp_read_delivers_nothing(monkeypatch):
     start = time.monotonic()
     report = run_scenario(scenario(seed=7), udp=True)
     assert time.monotonic() - start < 1
-    assert report.failure_trace == [
-        {"principal": "bob", "op": "recv", "failure": "udp:TimeoutError"}]
+    assert report.failure_trace == [{"principal": "bob", "op": "recv",
+                                     "failure": "udp:TimeoutError", "count": 1}]
     assert [m["delivered"] for m in report.message_log] == [False]
     assert report.message_log[0]["payloads"] == []
     assert report.established is False
