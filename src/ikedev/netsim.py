@@ -52,6 +52,8 @@ from .protocol import (
     Role,
     SessionState,
     Variant,
+    auth_opener,
+    open_chain,
 )
 from .usbkey import (
     DeploymentConfig,
@@ -59,7 +61,6 @@ from .usbkey import (
     SecurityToken,
     create_token,
     device_decrypt,
-    device_session_decrypt,
     make_file_identity,
 )
 
@@ -134,6 +135,11 @@ class Tamper:
             raise ConfigError("tamper offset must be >= 0")
         if self.message < 0:
             raise ConfigError("tamper message must be >= 0")
+        if (self.payload is not None
+                and self.payload.upper() not in codec.PayloadType.__members__):
+            raise ConfigError(
+                f"unknown tamper payload {self.payload!r}; choose from "
+                f"{sorted(codec.PayloadType.__members__)}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,10 @@ class Replay:
     """Re-inject the captured ``message``-th datagram to a fresh session,
     after the honest flow."""
     message: int
+
+    def __post_init__(self) -> None:
+        if self.message < 0:
+            raise ConfigError("replay message must be >= 0")
 
 
 Action = Flood | Tamper | Observe | Replay
@@ -172,6 +182,9 @@ class ScenarioConfig:
     group: str = crypto.DESK_GROUP.name
 
     def __post_init__(self) -> None:
+        names = [p.name for p in self.principals]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate principal names: {names}")
         if self.group not in crypto.GROUPS:
             raise ConfigError(f"unknown DH group {self.group!r}; "
                               f"choose from {sorted(crypto.GROUPS)}")
@@ -190,9 +203,6 @@ class ScenarioConfig:
         principals = tuple(
             _principal_from_dict(p)
             for p in raw.get("principals", _DEFAULT_PRINCIPALS))
-        names = [p.name for p in principals]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate principal names: {names}")
         adversary = tuple(_action_from_dict(a) for a in raw.get("adversary", []))
         return cls(
             name=_json_value(raw, "name", str, "scenario"),
@@ -254,10 +264,6 @@ def _action_from_dict(raw: dict) -> Action:
             payload = raw.get("payload")
             if payload is not None:
                 payload = _json_value(raw, "payload", str, None)
-                if payload.upper() not in codec.PayloadType.__members__:
-                    raise ConfigError(
-                        f"unknown tamper payload {payload!r}; choose from "
-                        f"{sorted(codec.PayloadType.__members__)}")
             return Tamper(message=_json_value(raw, "message", int, None),
                           payload=payload,
                           offset=_json_value(raw, "offset", int, 0),
@@ -329,60 +335,45 @@ class Finding:
     plaintext: bytes
 
 
+# The field of each body type that holds what an observer reads.
+_PLAINTEXT_FIELD = {codec.SaBody: "proposal", codec.KeBody: "public_value",
+                    codec.NonceBody: "nonce", codec.IdBody: "identity",
+                    codec.CertBody: "certificate", codec.SigBody: "signature"}
+
+
 def _body_plaintext(body: codec.Body) -> bytes:
-    if isinstance(body, codec.SaBody):
-        return body.proposal
-    if isinstance(body, codec.KeBody):
-        return body.public_value
-    if isinstance(body, codec.NonceBody):
-        return body.nonce
-    if isinstance(body, codec.IdBody):
-        return body.identity
-    if isinstance(body, codec.CertBody):
-        return body.certificate
-    if isinstance(body, codec.SigBody):
-        return body.signature
-    raise TypeError(type(body))
+    return getattr(body, _PLAINTEXT_FIELD[type(body)])
 
 
-def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
-            token: SecurityToken | None = None,
-            known_serials: set[bytes] | None = None) -> list[Finding]:
-    """What an eavesdropper recovers from one decoded datagram.
+def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
+            serials: set[bytes]) -> list[Finding]:
+    """What a party recovers from one decoded datagram with the keys it
+    holds: ``token``'s key1 (None for no key1) and the device ``serials``.
 
-    Rules: a DEV body is ciphertext and never yields plaintext by itself; a
-    CERT body is readable iff its encoding byte is not the sealed marker; a
-    SIG body is readable iff the message is not flag-encrypted; every other
-    clear-chain body is readable as-is.  With key1 and a fleet token, DEV
-    bodies decrypt to serials, and those serials unlock the sealed CERT/SIG
-    bodies and the encrypted chain blob.  ``known_serials`` (mutated in
-    place) lets a stateful observer carry serials across a transcript —
-    message 3 has no DEV payload of its own.
+    A DEV body opens under key1 to a serial, which joins ``serials``
+    (mutated in place, so a party carries serials across a transcript —
+    message 3 has no DEV payload of its own).  The encrypted chain opens
+    under key1 and a serial; a sealed CERT (by its encoding byte) or SIG (in
+    a flag-encrypted message) opens under a serial alone.  Every other body
+    is readable as-is.  Serials are tried this datagram's own first.
     """
-    has_key1 = (knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN
-                and token is not None)
-    serials = known_serials if known_serials is not None else set()
     findings: list[Finding] = []
     serials_here: list[bytes] = []
 
-    def open_with_serials(open_one) -> bytes | None:
-        """What ``open_one(serial)`` opens under the first known serial that
-        works, this datagram's own serials first; None if none does."""
+    def first_opened(open_one):
+        """What ``open_one(serial)`` returns for the first serial it works
+        for; None if none does."""
         for serial in serials_here + sorted(serials - set(serials_here)):
             try:
                 return open_one(serial)
-            except (AuthFailure, MalformedCiphertext):
+            except (AuthFailure, MalformedCiphertext, CodecError):
                 continue
         return None
-
-    def unseal(blob: bytes) -> bytes | None:
-        return open_with_serials(lambda serial: crypto.open_sealed(
-            crypto.AES256GCM, crypto.kdf_serial(serial), blob))
 
     for payload in msg.payloads:
         body = payload.body
         if isinstance(body, DevBody):
-            if not has_key1:
+            if token is None:
                 continue
             try:
                 serial = device_decrypt(token, body.sealed)
@@ -391,30 +382,20 @@ def observe(msg: codec.IsakmpMessage, knowledge: ObserverKnowledge,
             findings.append(Finding("DEV-SERIAL", serial))
             serials_here.append(serial)
             serials.add(serial)
-        elif isinstance(body, codec.CertBody):
-            if body.encoding != CERT_ENCODING_SEALED:
-                findings.append(Finding("CERT", body.certificate))
-            elif has_key1:
-                plain = unseal(body.certificate)
-                if plain is not None:
-                    findings.append(Finding("CERT", plain))
-        elif isinstance(body, codec.SigBody):
-            if not msg.header.encrypted:
-                findings.append(Finding("SIG", body.signature))
-            elif has_key1:
-                plain = unseal(body.signature)
-                if plain is not None:
-                    findings.append(Finding("SIG", plain))
-        else:
-            findings.append(Finding(payload.type.name, _body_plaintext(body)))
+            continue
+        plain = _body_plaintext(body)
+        sealed = (body.encoding == CERT_ENCODING_SEALED
+                  if isinstance(body, codec.CertBody)
+                  else isinstance(body, codec.SigBody) and msg.header.encrypted)
+        if sealed:
+            plain = first_opened(
+                lambda serial, blob=plain: auth_opener(serial)(blob))
+        if plain is not None:
+            findings.append(Finding(payload.type.name, plain))
 
-    if msg.encrypted_chain is not None and has_key1:
-        plain = open_with_serials(lambda serial: device_session_decrypt(
-            token, serial, msg.encrypted_chain))
-        try:
-            inner = codec.parse_payload_chain(plain) if plain is not None else []
-        except CodecError:
-            inner = []
+    if msg.encrypted_chain is not None and token is not None:
+        inner = first_opened(lambda serial: open_chain(
+            token, serial, msg.encrypted_chain)) or []
         findings.extend(Finding(payload.type.name, _body_plaintext(payload.body))
                         for payload in inner)
     return findings
@@ -490,9 +471,11 @@ class ScenarioReport:
 
 @dataclass
 class _ObserverState:
+    """An observer is the keys it holds: a fleet token's key1 or none, and
+    the serials it knows; ``knowledge`` only labels its findings."""
     knowledge: ObserverKnowledge
     token: SecurityToken | None
-    known_serials: set[bytes] = field(default_factory=set)
+    serials: set[bytes] = field(default_factory=set)
     findings: list[dict] = field(default_factory=list)
 
 
@@ -611,6 +594,8 @@ def _run(config: ScenarioConfig,
     if config.handshake and initiator is None:
         raise ConfigError("handshake scenario needs an initiator principal")
 
+    # Each knowledge level is a key set: ``none`` holds no key, and
+    # ``has-key1-and-token`` a fleet token's key1; both start with no serial.
     observers = []
     for action in config.adversary:
         if isinstance(action, Observe):
@@ -683,8 +668,7 @@ def _run(config: ScenarioConfig,
             payload_names = [p.type.name for p in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
             for obs in observers:
-                for finding in observe(decoded, obs.knowledge, obs.token,
-                                       obs.known_serials):
+                for finding in observe(decoded, obs.token, obs.serials):
                     obs.findings.append({"message": index,
                                          "payload": finding.payload,
                                          "hex": finding.plaintext.hex()})
@@ -755,7 +739,7 @@ def _run(config: ScenarioConfig,
     for action in config.adversary:
         if not isinstance(action, Replay):
             continue
-        if not 0 <= action.message < len(transcript):
+        if action.message >= len(transcript):
             raise ConfigError(
                 f"replay index {action.message} out of range "
                 f"({len(transcript)} messages captured)")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -146,6 +147,28 @@ class ReplayGuard:
 
     def __len__(self) -> int:
         return len(self._seen)
+
+
+# -- the openers that peers and observers share ------------------------------
+
+def open_chain(token: SecurityToken | None, serial: bytes,
+               blob: bytes) -> list[codec.IsakmpPayload]:
+    """The SA/KE/nonce/ID chain that device ``serial`` sealed under
+    kdf_session(key1, serial), opened with ``token``'s key1 and parsed.
+
+    Raises AuthFailure or MalformedCiphertext when the seal does not open
+    and CodecError when what it held does not parse.
+    """
+    return codec.parse_payload_chain(
+        device_session_decrypt(token, serial, blob))
+
+
+def auth_opener(serial: bytes) -> Callable[[bytes], bytes]:
+    """Opens the CERT and SIG bodies that device ``serial`` sealed under
+    kdf_serial(serial), deriving that key once; a bad seal raises
+    AuthFailure or MalformedCiphertext."""
+    key = crypto.kdf_serial(serial)
+    return lambda blob: crypto.open_sealed(crypto.AES256GCM, key, blob)
 
 
 _LADDER = (PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID)
@@ -292,13 +315,10 @@ class HandshakeSession:
         if msg.encrypted_chain is None:
             return "malformed"
         try:
-            plain = device_session_decrypt(self.token, serial,
-                                           msg.encrypted_chain)
+            return open_chain(self.token, serial, msg.encrypted_chain)
         except (AuthFailure, MalformedCiphertext):
             self.counters.decrypt_failures += 1
             return "bad-chain"
-        try:
-            return codec.parse_payload_chain(plain)
         except CodecError:
             return "malformed"
 
@@ -309,19 +329,16 @@ class HandshakeSession:
         both bodies under the peer's serial key first."""
         cert_encoded, signature = cert_body.certificate, sig_body.signature
         if self.variant is Variant.IMPROVED:
-            serial_key = crypto.kdf_serial(self.peer_serial)
-            try:
-                cert_encoded = crypto.open_sealed(crypto.AES256GCM, serial_key,
-                                                  cert_encoded)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                return "cert"
-            try:
-                signature = crypto.open_sealed(crypto.AES256GCM, serial_key,
-                                               signature)
-            except (AuthFailure, MalformedCiphertext):
-                self.counters.decrypt_failures += 1
-                return "sig-decrypt"
+            unseal = auth_opener(self.peer_serial)
+            opened = []
+            for blob, step in ((cert_encoded, "cert"),
+                               (signature, "sig-decrypt")):
+                try:
+                    opened.append(unseal(blob))
+                except (AuthFailure, MalformedCiphertext):
+                    self.counters.decrypt_failures += 1
+                    return step
+            cert_encoded, signature = opened
         try:
             cert = decode_certificate(cert_encoded)
         except CodecError:

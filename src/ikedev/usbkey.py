@@ -113,19 +113,18 @@ class FileIdentity:
     """Key material held as plain host-readable bytes (a *.p12-style file).
 
     This is the baseline's storage model: the private key sits outside any
-    device and is available to whatever can read the file.  ``signing_key``
-    is the same key loaded once for signing.
+    device and is available to whatever can read the file, loaded once as
+    ``signing_key``.
     """
 
     certificate: Certificate
-    private_key: bytes
     signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
 
 
 def make_file_identity(subject: str, seed: bytes) -> FileIdentity:
     signing_key, public = crypto.signature_keypair(seed)
     cert = make_certificate(subject, NO_SERIAL_BINDING, signing_key, public)
-    return FileIdentity(cert, seed[:32], signing_key)
+    return FileIdentity(cert, signing_key)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,6 @@ class SecurityToken:
     serial: bytes
     certificate: Certificate
     _key1: bytes = field(repr=False)
-    _private_key: bytes = field(repr=False)
     _signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
     _rng: object = field(repr=False)
     _regions: dict = field(repr=False)
@@ -177,8 +175,7 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
     rng = crypto.derive_rng(deployment.seed, f"token-nonce|{serial.hex()}")
     return SecurityToken(
         serial=serial, certificate=cert, _key1=deployment.key1,
-        _private_key=private, _signing_key=signing_key,
-        _rng=rng, _regions=regions)
+        _signing_key=signing_key, _rng=rng, _regions=regions)
 
 
 def _require(token: SecurityToken | None) -> SecurityToken:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import requires_loopback_udp
-from ikedev import codec, crypto, netsim
+from ikedev import codec, crypto, netsim, usbkey
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
     EXPECTED_VERDICTS,
@@ -239,7 +239,8 @@ def test_tamper_selector_misses():
     ({"message": 0, "payload": "KE", "offset": -3}, "offset"),
     ({"message": 0, "xor": 0}, "xor"),
     ({"message": 0, "xor": 256}, "xor"),
-], ids=["message-1", "offset-3", "KE-offset-3", "xor0", "xor256"])
+    ({"message": 0, "payload": "XYZ"}, "payload"),
+], ids=["message-1", "offset-3", "KE-offset-3", "xor0", "xor256", "XYZ"])
 def test_a_tamper_outside_its_bounds_is_a_config_error(kwargs, fragment):
     # a negative offset would reach before the selected body, and an xor
     # of 0 would log a tamper that changed no byte
@@ -252,6 +253,19 @@ def test_a_flood_of_no_packets_is_a_config_error(count):
     # it would send nothing and leave the report with no DoS verdict
     with pytest.raises(ConfigError, match="count"):
         Flood(count=count)
+
+
+def test_a_replay_before_the_first_datagram_is_a_config_error():
+    with pytest.raises(ConfigError, match="message"):
+        Replay(message=-1)
+
+
+def test_a_principal_name_used_twice_is_a_config_error():
+    # otherwise it fails only at run time, and for a misleading reason
+    with pytest.raises(ConfigError, match="duplicate"):
+        ScenarioConfig(name="t", variant=Variant.IMPROVED, seed=1,
+                       principals=(PrincipalConfig("alice", Role.INITIATOR),
+                                   PrincipalConfig("alice", Role.RESPONDER)))
 
 
 def test_raw_offset_tamper_flips_exactly_one_byte():
@@ -361,9 +375,22 @@ def test_observe_function_is_pure_for_blind_knowledge():
     from conftest import Fleet, drive_handshake
     wires = drive_handshake(*Fleet().pair(Variant.BASELINE))
     msg1 = codec.decode_message(wires[0])
-    findings = observe(msg1, ObserverKnowledge.NONE)
+    findings = observe(msg1, None, set())
     assert {f.payload for f in findings} == {"SA", "KE", "NONCE", "ID"}
-    assert observe(msg1, ObserverKnowledge.NONE) == findings
+    assert observe(msg1, None, set()) == findings
+
+
+def test_a_party_with_only_a_serial_reads_that_devices_cert_and_sig():
+    # CERT and SIG are sealed under kdf_serial(serial) alone, and a serial
+    # is no secret: without key1 the DEV and the chain stay shut
+    from conftest import Fleet, drive_handshake
+    fleet = Fleet()
+    wires = drive_handshake(*fleet.pair(Variant.IMPROVED))
+    msg2 = codec.decode_message(wires[1])
+    findings = observe(msg2, None, {fleet.serials["bob"]})
+    assert [f.payload for f in findings] == ["CERT", "SIG"]
+    assert usbkey.decode_certificate(findings[0].plaintext).subject == "bob"
+    assert len(findings[1].plaintext) == crypto.SIGNATURE_LEN
 
 
 def test_observer_handles_garbage_datagrams():
@@ -507,6 +534,7 @@ def test_from_dict_round_trip_minimal():
     ({"principals": [{"name": 7, "role": "initiator"}]}, "name"),
     ({"adversary": [{"action": "flood", "forge_source": ["x"]}]},
      "forge_source"),
+    ({"adversary": [{"action": "replay", "message": -1}]}, "message"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -176,18 +176,27 @@ def test_file_identity_mirrors_certificate_shape():
     assert usbkey.verify_certificate(decoded)
 
 
+def _provisioned_private_key(token) -> bytes:
+    """The private key bytes as provisioned: the manager private-key region
+    holds them, then the serial."""
+    region = token._regions[RegionId.MANAGER_PRIVATE_KEY]
+    assert region[32:] == token.serial
+    return region[:32]
+
+
 def test_device_sign_uses_the_provisioned_private_key(token):
     data = b"hash to sign"
-    expected = Ed25519PrivateKey.from_private_bytes(token._private_key).sign(data)
+    expected = Ed25519PrivateKey.from_private_bytes(
+        _provisioned_private_key(token)).sign(data)
     assert usbkey.device_sign(token, data) == expected
     assert usbkey.device_sign(token, data) == expected   # the held key is reusable
 
 
 def test_file_identity_signs_with_its_file_key():
     ident = usbkey.make_file_identity("carol", b"\x05" * 32)
-    assert ident.private_key == b"\x05" * 32
+    assert ident.signing_key.private_bytes_raw() == b"\x05" * 32
     data = b"hash to sign"
-    expected = Ed25519PrivateKey.from_private_bytes(ident.private_key).sign(data)
+    expected = Ed25519PrivateKey.from_private_bytes(b"\x05" * 32).sign(data)
     assert crypto.sign(ident.signing_key, data) == expected
     assert crypto.verify(ident.certificate.public_key, data, expected)
 
@@ -195,7 +204,7 @@ def test_file_identity_signs_with_its_file_key():
 # --- secrecy of device internals --------------------------------------------
 
 def test_key_material_never_leaks_through_readable_surfaces(token, deployment):
-    secrets = [deployment.key1, token._private_key]
+    secrets = [deployment.key1, _provisioned_private_key(token)]
     readable = [
         usbkey.device_get_serial(token),
         usbkey.device_get_certificate(token).encoded,

@@ -8,6 +8,8 @@ A refactor that claims to change no behaviour must leave both unchanged.
   (sorted by name) x seeds 0-19.
 * Wire digest: SHA-256 over every ``codec.encode_message`` return during
   the battery part.
+* Baseline wire digest: the same over the baseline variant's runs alone, so
+  a change to improved wire bytes can show that no baseline byte moved.
 
 Run from anywhere; it imports ikedev from this checkout's ``src/``:
 
@@ -31,11 +33,15 @@ from ikedev.protocol import Variant  # noqa: E402
 def main() -> None:
     reports = hashlib.sha256()
     wire = hashlib.sha256()
+    baseline_wire = hashlib.sha256()
     encode = codec.encode_message
+    variant = None
 
     def hashed_encode(msg):
         data = encode(msg)
         wire.update(data)
+        if variant is Variant.BASELINE:
+            baseline_wire.update(data)
         return data
 
     codec.encode_message = hashed_encode
@@ -53,6 +59,7 @@ def main() -> None:
             reports.update(netsim.run_scenario(cfg).to_json())
     print(f"report digest {reports.hexdigest()}")
     print(f"wire digest   {wire.hexdigest()}")
+    print(f"baseline wire digest {baseline_wire.hexdigest()}")
 
 
 if __name__ == "__main__":
