@@ -56,7 +56,7 @@ class PayloadType(IntEnum):
 # Payload bodies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaBody:
     """Security-association proposal, treated as opaque transform bytes."""
     proposal: bytes
@@ -66,7 +66,7 @@ class SaBody:
             raise ValueError("SA proposal must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeBody:
     public_value: bytes
 
@@ -75,7 +75,7 @@ class KeBody:
             raise ValueError("KE public value must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonceBody:
     nonce: bytes
 
@@ -85,19 +85,19 @@ class NonceBody:
                 f"nonce length {len(self.nonce)} outside [{NONCE_MIN}, {NONCE_MAX}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdBody:
     id_type: int
     identity: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertBody:
     encoding: int
     certificate: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigBody:
     signature: bytes
 
@@ -106,7 +106,7 @@ class SigBody:
             raise ValueError("signature must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DevBody:
     """Device-information payload body: sealed 7-byte serial record."""
     nonce: bytes
@@ -145,7 +145,7 @@ def payload_type_of(body: Body) -> PayloadType:
     return _BODY_TYPES[type(body)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsakmpPayload:
     """One payload; its generic header's link is the successor's type."""
 
@@ -156,7 +156,7 @@ class IsakmpPayload:
         return payload_type_of(self.body)
 
 
-@dataclass
+@dataclass(slots=True)
 class IsakmpHeader:
     initiator_cookie: bytes
     responder_cookie: bytes
@@ -169,7 +169,7 @@ class IsakmpHeader:
         return bool(self.flags & FLAG_ENCRYPTION)
 
 
-@dataclass
+@dataclass(slots=True)
 class IsakmpMessage:
     header: IsakmpHeader
     payloads: list[IsakmpPayload] = field(default_factory=list)
@@ -247,16 +247,18 @@ def _encode_chain(payloads: list[IsakmpPayload]) -> bytes:
     return bytes(out)
 
 
+_PAYLOAD_TYPES = {ptype.value: ptype for ptype in PayloadType}
+
+
 def _parse_chain(data: bytes, offset: int, first_type: int,
                  link_offset: int) -> tuple[list[IsakmpPayload], int]:
     """Parse payloads until a 0 link; returns (payloads, end offset)."""
     payloads = []
-    ptype = first_type
-    while ptype != 0:
-        try:
-            ptype = PayloadType(ptype)
-        except ValueError:
-            raise UnknownPayloadType(f"payload type {ptype}", link_offset) from None
+    code = first_type
+    while code != 0:
+        ptype = _PAYLOAD_TYPES.get(code)
+        if ptype is None:
+            raise UnknownPayloadType(f"payload type {code}", link_offset)
         if offset + GENERIC_HEADER_LEN > len(data):
             raise Truncated("generic payload header", offset)
         next_payload, reserved, plen = struct.unpack_from("!BBH", data, offset)
@@ -271,7 +273,7 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
         payloads.append(IsakmpPayload(body))
         link_offset = offset
         offset += plen
-        ptype = next_payload
+        code = next_payload
     return payloads, offset
 
 
@@ -359,7 +361,7 @@ def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:
 # Byte-range maps for tamper/observe tooling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayloadRange:
     type: PayloadType
     body_start: int

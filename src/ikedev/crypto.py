@@ -35,41 +35,43 @@ PUBLIC_KEY_LEN = 32
 def derive_rng(seed: int, label: str) -> random.Random:
     """Independent sub-generator for (seed, label); stable across call order.
 
-    Its stream is ``random.Random(int(sha256(f"{seed}|{label}")))``, seeded
-    on first use: a session that never draws (a responder rejecting a forged
-    message 1 at the gate) skips the ~7 us Mersenne Twister set-up.
+    Its stream is ``random.Random(int(sha256(f"{seed}|{label}")))``, hashed
+    and seeded on first use: a session that never draws (a responder
+    rejecting a forged message 1 at the gate) skips both the SHA-256 and the
+    ~7 us Mersenne Twister set-up.
     """
-    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
-    return _SeedOnFirstUse(int.from_bytes(digest, "big"))
+    return _SeedOnFirstUse(seed, label)
 
 
 def _switching(name: str, seeded: bool):
-    """A method that makes the object a plain ``random.Random``, seeded with
-    the kept seed if ``seeded``, and then calls its ``name``.  A bound method
-    taken before the switch (``choices`` keeps ``self.random``) finds no
-    kept seed when called again."""
+    """A method that makes the object a plain ``random.Random``, seeded from
+    the kept (seed, label) if ``seeded``, and then calls its ``name``.  A
+    bound method taken before the switch (``choices`` keeps ``self.random``)
+    finds nothing kept when called again."""
     def method(self, *args, **kwargs):
-        seed = self.__dict__.pop("_kept_seed", None)
-        if seed is not None:
+        kept = self.__dict__.pop("_kept", None)
+        if kept is not None:
             self.__class__ = random.Random
             if seeded:
-                self.seed(seed)
+                seed, label = kept
+                digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+                self.seed(int.from_bytes(digest, "big"))
         return getattr(self, name)(*args, **kwargs)
     return method
 
 
 class _SeedOnFirstUse(random.Random):
-    """A ``random.Random`` that keeps its seed until first used.
+    """A ``random.Random`` that keeps its (seed, label) until first used.
 
     Every draw reaches ``random`` or ``getrandbits`` (defining the latter
     keeps ``_randbelow_with_getrandbits``), and ``getstate`` and
     ``__reduce__`` (pickle, copy) read the state, so these seed first; a
-    first ``seed`` or ``setstate`` drops the kept seed instead.  After
+    first ``seed`` or ``setstate`` drops what is kept instead.  After
     either, later calls cost what they cost on a plain ``random.Random``.
     """
 
-    def __init__(self, seed: int) -> None:
-        self._kept_seed = seed
+    def __init__(self, seed: int, label: str) -> None:
+        self._kept = seed, label
         self.gauss_next = None
 
     random = _switching("random", seeded=True)

@@ -2,7 +2,7 @@
 
 Principals exchange wire bytes over an in-memory medium, or over a
 loopback UDP hop for each datagram, with adversary hooks: source-spoofed
-floods, byte-level tampering, passive observation at two knowledge levels,
+floods, byte-level tampering, passive observation at three knowledge levels,
 and replay of captured datagrams.  Every random
 choice flows from ``crypto.derive_rng(seed, label)``, so a (scenario, seed)
 pair reproduces the identical :class:`ScenarioReport`, byte for byte.
@@ -91,6 +91,7 @@ EXPECTED_VERDICTS = {
 class ObserverKnowledge(Enum):
     NONE = "none"
     HAS_KEY1_AND_TOKEN = "has-key1-and-token"
+    SERIAL = "serial"
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +595,23 @@ def _run(config: ScenarioConfig,
     if config.handshake and initiator is None:
         raise ConfigError("handshake scenario needs an initiator principal")
 
-    # Each knowledge level is a key set: ``none`` holds no key, and
-    # ``has-key1-and-token`` a fleet token's key1; both start with no serial.
+    # Each knowledge level is a key set: ``none`` holds no key,
+    # ``has-key1-and-token`` a fleet token's key1 and no serial, and
+    # ``serial`` no key1 and the responder's serial (if it has a device).
     observers = []
     for action in config.adversary:
         if isinstance(action, Observe):
-            obs_token = None
+            obs_token, serials = None, set()
             if action.knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN:
                 obs_token = create_token(
                     crypto.derive_rng(seed, "device-serial|observer")
                     .randbytes(crypto.SERIAL_LEN),
                     _deployment(seed), "observer")
-            observers.append(_ObserverState(action.knowledge, obs_token))
+            elif (action.knowledge is ObserverKnowledge.SERIAL
+                  and responder.token is not None):
+                serials = {responder.token.serial}
+            observers.append(_ObserverState(action.knowledge, obs_token,
+                                            serials))
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
     # Checked before the run, so a scenario's validity does not depend on
     # how far its own ladder got (see Tamper).

@@ -33,6 +33,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import codec, crypto
 from .codec import (
@@ -94,7 +95,7 @@ class SessionState(Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     dh_ops: int = 0
     sig_verifies: int = 0
@@ -116,8 +117,7 @@ class Counters:
         self.messages_rejected_pre_dh += other.messages_rejected_pre_dh
 
 
-@dataclass(frozen=True)
-class TransitionEvent:
+class TransitionEvent(NamedTuple):
     op: str
     state: str
     emitted: str | None
@@ -183,7 +183,7 @@ def _ladder_bodies(payloads) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
     return tuple(found[ptype] for ptype in _LADDER)  # type: ignore[return-value]
 
 
-@dataclass
+@dataclass(slots=True)
 class HandshakeSession:
     """Single-owner state machine for one peer of one handshake."""
 

@@ -154,6 +154,19 @@ def test_unknown_first_payload_type_flagged_at_byte_16():
     assert exc.value.offset == 16
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_unknown_linked_payload_type_flagged_at_its_generic_header(index):
+    # byte 0 of each generic header names the next payload's type
+    wire = codec.encode_message(_fixed_msg1())
+    link = (codec.payload_byte_ranges(wire)[index].body_start
+            - codec.GENERIC_HEADER_LEN)
+    bad = bytearray(wire)
+    bad[link] = 99
+    with pytest.raises(UnknownPayloadType) as exc:
+        codec.decode_message(bytes(bad))
+    assert exc.value.offset == link
+
+
 def test_nonzero_reserved_names_the_byte():
     wire = bytearray(codec.encode_message(_fixed_msg1()))
     wire[codec.HEADER_LEN + 1] = 0xFF  # RESERVED of the first payload

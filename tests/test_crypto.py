@@ -432,6 +432,13 @@ def test_derive_rng_copies_before_the_first_draw(clone):
     assert rng.randbytes(32) == expected
 
 
+def test_derive_rng_formats_the_label_when_it_first_draws():
+    # the label is hashed as given, separators and non-ASCII text included
+    label = "session|bob|ünïcode→€|0"
+    rng = crypto.derive_rng(-3, label)
+    assert rng.randbytes(32) == _seeded_random(-3, label).randbytes(32)
+
+
 def test_derive_rng_reseeds_before_the_first_draw():
     rng = crypto.derive_rng(7, "alpha")
     rng.seed(5)

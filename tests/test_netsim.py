@@ -133,6 +133,42 @@ def test_gate_off_battery_and_shipped_scenarios_match_the_recorded_digest():
         GATE_OFF_AND_SCENARIOS_DIGEST, GATE_OFF_AND_SCENARIOS_FOLDED_DIGEST)
 
 
+# SHA-256 over every codec.encode_message return while the battery runs at
+# seeds 0-3, baseline then improved, gate on then off, each flood cut to its
+# first WIRE_FLOOD packets (the rest repeat the same recipe); the baseline
+# digest hashes the baseline runs alone.  A change that moves a wire byte
+# moves the first, and the second shows whether a baseline byte moved.
+WIRE_DIGEST = "6fe69500f32833f6b0290bd39be8707ab46790b1081f76dbd2b01b733617f7e3"
+BASELINE_WIRE_DIGEST = (
+    "657d5e183f119a129e7097e72385f08c7989d34c0065630a1a7b6ede39a517de")
+WIRE_FLOOD = 50
+
+
+def test_wire_bytes_match_the_recorded_digests(monkeypatch):
+    encode = codec.encode_message
+    wire, baseline_wire = hashlib.sha256(), hashlib.sha256()
+    variant = None
+
+    def hashed_encode(msg):
+        data = encode(msg)
+        wire.update(data)
+        if variant is Variant.BASELINE:
+            baseline_wire.update(data)
+        return data
+
+    monkeypatch.setattr(codec, "encode_message", hashed_encode)
+    for seed in range(4):
+        for variant in (Variant.BASELINE, Variant.IMPROVED):
+            for gate_off in (False, True):
+                for cfg in battery_configs(variant, seed, gate_off):
+                    if cfg.name == "flood":
+                        cfg = dataclasses.replace(
+                            cfg, adversary=(Flood(count=WIRE_FLOOD),))
+                    run_scenario(cfg)
+    assert (wire.hexdigest(), baseline_wire.hexdigest()) == (
+        WIRE_DIGEST, BASELINE_WIRE_DIGEST)
+
+
 # --- provisioning ------------------------------------------------------------
 
 @pytest.mark.parametrize("variant, used, unused", [
@@ -393,6 +429,30 @@ def test_a_party_with_only_a_serial_reads_that_devices_cert_and_sig():
     assert len(findings[1].plaintext) == crypto.SIGNATURE_LEN
 
 
+def test_a_serial_observer_reads_bobs_cert_and_sig_off_message_2():
+    report = run_scenario(scenario(
+        adversary=[Observe(ObserverKnowledge.SERIAL)]))
+    assert report.established is True
+    assert [(f["knowledge"], f["message"], f["payload"])
+            for f in report.observer_findings] == [
+        ("serial", 1, "CERT"), ("serial", 1, "SIG")]
+    cert, sig = (bytes.fromhex(f["hex"]) for f in report.observer_findings)
+    assert usbkey.decode_certificate(cert).subject == "bob"
+    assert len(sig) == crypto.SIGNATURE_LEN
+
+
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+def test_a_serial_observer_changes_no_verdict(variant):
+    # the paper's verdicts read the no-knowledge observer only
+    reports = []
+    for cfg in battery_configs(variant, seed=1):
+        if cfg.name == "honest":
+            cfg = dataclasses.replace(cfg, adversary=cfg.adversary + (
+                Observe(ObserverKnowledge.SERIAL),))
+        reports.append(run_scenario(cfg))
+    assert verdicts_from_trace(reports) == EXPECTED_VERDICTS[variant.value]
+
+
 def test_observer_handles_garbage_datagrams():
     # byte 17 is the header version: message 1 does not decode, so the
     # observer is not shown it and the failure is traced once
@@ -486,6 +546,12 @@ def test_from_dict_round_trip_minimal():
     assert cfg.variant is Variant.IMPROVED
     assert [p.name for p in cfg.principals] == ["alice", "bob"]
     assert cfg.handshake is True
+
+
+def test_from_dict_reads_the_serial_knowledge_level():
+    cfg = ScenarioConfig.from_dict({"adversary": [
+        {"action": "observe", "knowledge": "serial"}]})
+    assert cfg.adversary == (Observe(ObserverKnowledge.SERIAL),)
 
 
 @pytest.mark.parametrize("raw,fragment", [

@@ -4,8 +4,10 @@ Covers the honest path, the device gate, tamper/replay/splice handling,
 and state-machine safety under arbitrary redelivery of captured wires.
 """
 
+import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
@@ -178,6 +180,39 @@ def test_gated_reject_seeds_no_rng(fleet, monkeypatch):
     assert rsp.counters.messages_rejected_pre_dh == 1
     assert rsp.counters.dh_ops == 0
     assert seeds == []
+
+
+def test_gated_reject_hashes_nothing_for_its_rng(fleet, monkeypatch):
+    # derive_rng hashes (seed, label) on the first draw, and a session that
+    # rejects at the gate never draws: from decode to the reject, crypto
+    # computes no SHA-256 (an rng hashed when built would count one)
+    wire = netsim._forged_msg1(Variant.IMPROVED, random.Random(4),
+                               crypto.DESK_GROUP, "attacker")
+    hashed = []
+
+    def counting_sha256(*args):
+        hashed.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(crypto, "hashlib",
+                        types.SimpleNamespace(sha256=counting_sha256))
+    msg = codec.decode_message(wire)
+    rsp = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                        replay_guard=ReplayGuard())
+    assert rsp.responder_on_msg1(msg) is None
+    assert rsp.counters.messages_rejected_pre_dh == 1
+    assert hashed == []
+    rsp.rng.random()
+    assert len(hashed) == 1
+
+
+def test_transition_events_are_immutable(fleet):
+    ini, rsp = fleet.pair(Variant.IMPROVED)
+    drive_handshake(ini, rsp)
+    event = rsp.events[-1]
+    with pytest.raises(AttributeError):
+        event.failure = "forged"
+    assert event.failure is None and event.emitted is None
 
 
 def test_gate_rejects_msg1_without_dev_payload(fleet):
