@@ -30,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import json
 import socket
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 from . import codec, crypto
@@ -101,7 +103,7 @@ class ObserverKnowledge(Enum):
 @dataclass(frozen=True)
 class Flood:
     """Source-spoofed message-1 packets; DEV forged under a random key."""
-    count: int
+    count: int = FLOOD_COUNT
     forge_source: str = "attacker"
 
     def __post_init__(self) -> None:
@@ -173,10 +175,14 @@ class PrincipalConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    variant: Variant
-    seed: int
-    principals: tuple[PrincipalConfig, ...]
+    """A whole scenario.  Each rule that needs more than one of its fields,
+    the tamper bound (see ``Tamper``) among them, is checked when it is built."""
+    name: str = "scenario"
+    variant: Variant = Variant.BASELINE
+    seed: int = 0
+    principals: tuple[PrincipalConfig, ...] = (
+        PrincipalConfig("alice", Role.INITIATOR),
+        PrincipalConfig("bob", Role.RESPONDER))
     adversary: tuple[Action, ...] = ()
     handshake: bool = True
     disable_dos_gate: bool = False
@@ -189,98 +195,81 @@ class ScenarioConfig:
         if self.group not in crypto.GROUPS:
             raise ConfigError(f"unknown DH group {self.group!r}; "
                               f"choose from {sorted(crypto.GROUPS)}")
+        roles = {p.role for p in self.principals}
+        if Role.RESPONDER not in roles:
+            raise ConfigError("scenario needs a responder principal")
+        if self.handshake and Role.INITIATOR not in roles:
+            raise ConfigError("handshake scenario needs an initiator principal")
+        sendable = (sum(a.count for a in self.adversary if isinstance(a, Flood))
+                    + 3 * self.handshake
+                    + sum(isinstance(a, Replay) for a in self.adversary))
+        beyond = [a.message for a in self.adversary
+                  if isinstance(a, Tamper) and a.message >= sendable]
+        if beyond:
+            raise ConfigError(
+                f"tamper index {min(beyond)} out of range "
+                f"(the script sends at most {sendable} messages)")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("scenario must be a JSON object")
-        extra = set(raw) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown scenario fields: {sorted(extra)}")
-        try:
-            variant = Variant(raw.get("variant", "baseline"))
-        except ValueError:
-            raise ConfigError(f"unknown variant {raw.get('variant')!r}") from None
-        principals = tuple(
-            _principal_from_dict(p)
-            for p in raw.get("principals", _DEFAULT_PRINCIPALS))
-        adversary = tuple(_action_from_dict(a) for a in raw.get("adversary", []))
-        return cls(
-            name=_json_value(raw, "name", str, "scenario"),
-            variant=variant,
-            seed=_json_value(raw, "seed", int, 0),
-            principals=principals,
-            adversary=adversary,
-            handshake=_json_value(raw, "handshake", bool, True),
-            disable_dos_gate=_json_value(raw, "disable_dos_gate", bool, False),
-            group=_json_value(raw, "group", str, crypto.DESK_GROUP.name),
-        )
-
-
-_DEFAULT_PRINCIPALS = (
-    {"name": "alice", "role": "initiator"},
-    {"name": "bob", "role": "responder"},
-)
+        return _from_json(cls, raw, "scenario")
 
 
 _JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _json_value(raw: dict, key: str, kind: type, default):
-    """``raw[key]``, or ``default`` if absent, of exactly JSON ``kind``:
-    nothing is coerced, and an integer is no bool, float or string."""
-    value = raw.get(key, default)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be {_JSON_KINDS[kind]}, not {value!r}")
-    return value
+def _from_json(hint, value, key: str):
+    """``value``, as parsed from JSON, read as type ``hint``; ``key`` names
+    it in errors.
 
-
-def _principal_from_dict(raw: dict) -> PrincipalConfig:
-    if not isinstance(raw, dict) or "name" not in raw or "role" not in raw:
-        raise ConfigError(f"principal needs name and role: {raw!r}")
-    try:
-        role = Role(raw["role"])
-    except ValueError:
-        raise ConfigError(f"unknown role {raw['role']!r}") from None
-    return PrincipalConfig(name=_json_value(raw, "name", str, None), role=role,
-                           token=_json_value(raw, "token", bool, True))
-
-
-def _action_from_dict(raw: dict) -> Action:
-    if not isinstance(raw, dict) or "action" not in raw:
-        raise ConfigError(f"adversary action needs an 'action' field: {raw!r}")
-    kind = raw["action"]
-    if kind not in _ACTION_KINDS:
-        raise ConfigError(f"unknown adversary action {kind!r}")
-    extra = (set(raw) - {f.name for f in fields(_ACTION_KINDS[kind])}
-             - {"action"})
-    if extra:
-        raise ConfigError(f"unknown fields for {kind}: {sorted(extra)}")
-    try:
-        if kind == "flood":
-            return Flood(count=_json_value(raw, "count", int, FLOOD_COUNT),
-                         forge_source=_json_value(
-                             raw, "forge_source", str, "attacker"))
-        if kind == "tamper":
-            payload = raw.get("payload")
-            if payload is not None:
-                payload = _json_value(raw, "payload", str, None)
-            return Tamper(message=_json_value(raw, "message", int, None),
-                          payload=payload,
-                          offset=_json_value(raw, "offset", int, 0),
-                          xor=_json_value(raw, "xor", int, 1),
-                          fallback_to_blob=_json_value(raw, "fallback_to_blob",
-                                                       bool, True))
-        if kind == "replay":
-            return Replay(message=_json_value(raw, "message", int, None))
-        try:
-            knowledge = ObserverKnowledge(raw.get("knowledge", "none"))
-        except ValueError:
+    A scalar must be exactly its JSON type: nothing is coerced, and an
+    integer is no bool, float or string.  ``X | None`` also takes null, a
+    tuple takes a JSON array, and an enum takes one of its values.  A
+    dataclass takes a JSON object with every field that has no default and
+    no field it lacks, each read by its type hint; an action is the one that
+    its ``"action"`` key names.
+    """
+    if hint == Action:
+        if not isinstance(value, dict) or "action" not in value:
             raise ConfigError(
-                f"unknown observer knowledge {raw.get('knowledge')!r}") from None
-        return Observe(knowledge=knowledge)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {kind} action: {exc}") from None
+                f"adversary action needs an 'action' field: {value!r}")
+        kind = value["action"]
+        if not isinstance(kind, str) or kind not in _ACTION_KINDS:
+            raise ConfigError(f"unknown adversary action {kind!r}")
+        hint = _ACTION_KINDS[kind]
+        value = {k: v for k, v in value.items() if k != "action"}
+    if is_dataclass(hint):
+        label = hint.__name__.removesuffix("Config").lower()
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} must be a JSON object, not {value!r}")
+        extra = set(value) - {f.name for f in fields(hint)}
+        if extra:
+            raise ConfigError(f"unknown {label} fields: {sorted(extra)}")
+        required = [f.name for f in fields(hint) if f.default is MISSING]
+        if not set(required) <= set(value):
+            raise ConfigError(f"{label} needs {' and '.join(required)}: "
+                              f"{value!r}")
+        hints = typing.get_type_hints(hint)
+        return hint(**{k: _from_json(hints[k], v, k) for k, v in value.items()})
+    if isinstance(hint, types.UnionType):   # X | None
+        if value is None:
+            return None
+        hint, = (a for a in typing.get_args(hint) if a is not type(None))
+        return _from_json(hint, value, key)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{key} must be a JSON array, not {value!r}")
+        return tuple(_from_json(typing.get_args(hint)[0], item, key)
+                     for item in value)
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise ConfigError(f"unknown {key} {value!r}; choose from "
+                              f"{[m.value for m in hint]}") from None
+    if type(value) is not hint:
+        raise ConfigError(f"{key} must be {_JSON_KINDS[hint]}, not {value!r}")
+    return value
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -588,12 +577,8 @@ def _run(config: ScenarioConfig,
 
     initiator = next((p for p in principals.values()
                       if p.role is Role.INITIATOR), None)
-    responder = next((p for p in principals.values()
-                      if p.role is Role.RESPONDER), None)
-    if responder is None:
-        raise ConfigError("scenario needs a responder principal")
-    if config.handshake and initiator is None:
-        raise ConfigError("handshake scenario needs an initiator principal")
+    responder = next(p for p in principals.values()
+                     if p.role is Role.RESPONDER)
 
     # Each knowledge level is a key set: ``none`` holds no key,
     # ``has-key1-and-token`` a fleet token's key1 and no serial, and
@@ -613,16 +598,6 @@ def _run(config: ScenarioConfig,
             observers.append(_ObserverState(action.knowledge, obs_token,
                                             serials))
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
-    # Checked before the run, so a scenario's validity does not depend on
-    # how far its own ladder got (see Tamper).
-    sendable = (sum(a.count for a in config.adversary if isinstance(a, Flood))
-                + 3 * config.handshake
-                + sum(isinstance(a, Replay) for a in config.adversary))
-    beyond = [a.message for a in tampers if a.message >= sendable]
-    if beyond:
-        raise ConfigError(
-            f"tamper index {min(beyond)} out of range "
-            f"(the script sends at most {sendable} messages)")
 
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
     message_log: list[dict] = []
@@ -836,19 +811,15 @@ def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
 
 def battery_configs(variant: Variant, seed: int, disable_dos_gate: bool = False,
                     group: str = crypto.DESK_GROUP.name) -> list[ScenarioConfig]:
-    principals = (PrincipalConfig("alice", Role.INITIATOR),
-                  PrincipalConfig("bob", Role.RESPONDER))
-
     def cfg(name: str, adversary: tuple[Action, ...],
             handshake: bool = True) -> ScenarioConfig:
         return ScenarioConfig(name=name, variant=variant, seed=seed,
-                              principals=principals, adversary=adversary,
-                              handshake=handshake,
+                              adversary=adversary, handshake=handshake,
                               disable_dos_gate=disable_dos_gate, group=group)
 
     return [
         cfg("honest", (Observe(ObserverKnowledge.NONE),)),
-        cfg("flood", (Flood(count=FLOOD_COUNT),), handshake=False),
+        cfg("flood", (Flood(),), handshake=False),
         cfg("tamper-sa", (Tamper(message=1, payload="SA"),)),
         cfg("tamper-ke", (Tamper(message=1, payload="KE"),)),
     ]

@@ -31,13 +31,12 @@ from ikedev.netsim import (
     Flood,
     Observe,
     ObserverKnowledge,
-    PrincipalConfig,
     ScenarioConfig,
     battery_configs,
     run_matrix,
     run_scenario,
 )
-from ikedev.protocol import Role, SessionState, Variant
+from ikedev.protocol import SessionState, Variant
 from ikedev.usbkey import RegionId, RegionOp
 
 
@@ -49,10 +48,6 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number} FAIL {name}", file=sys.__stdout__)
         raise
     print(f"ACCEPTANCE {number} pass {name}", file=sys.__stdout__)
-
-
-PAIR = (PrincipalConfig("alice", Role.INITIATOR),
-        PrincipalConfig("bob", Role.RESPONDER))
 
 
 # -- 1 -------------------------------------------------------------------------
@@ -75,7 +70,7 @@ def test_acceptance_2_dos_gate_quantitative():
     with criterion(2, "flood of 1000: dh_ops 1000 vs 0, zero tolerance"):
         def flood(variant: Variant) -> dict:
             report = run_scenario(ScenarioConfig(
-                name="flood", variant=variant, seed=4242, principals=PAIR,
+                name="flood", variant=variant, seed=4242,
                 adversary=(Flood(count=FLOOD_COUNT),), handshake=False))
             assert report.flood_sent == FLOOD_COUNT
             return report.principal_counters["bob"]
@@ -162,7 +157,7 @@ def test_acceptance_4_passive_observer_confidentiality():
         for seed in range(100):
             cfg = ScenarioConfig(
                 name="honest", variant=Variant.BASELINE, seed=seed,
-                principals=PAIR, adversary=(Observe(ObserverKnowledge.NONE),))
+                adversary=(Observe(ObserverKnowledge.NONE),))
             report = run_scenario(cfg)
             assert report.established is True
             per_message = {m: 0 for m in range(3)}
@@ -175,7 +170,7 @@ def test_acceptance_4_passive_observer_confidentiality():
         for seed in range(100):
             cfg = ScenarioConfig(
                 name="honest", variant=Variant.IMPROVED, seed=seed,
-                principals=PAIR, adversary=(Observe(ObserverKnowledge.NONE),))
+                adversary=(Observe(ObserverKnowledge.NONE),))
             report = run_scenario(cfg)
             assert report.established is True
             assert report.observer_findings == [], seed

@@ -163,6 +163,15 @@ def test_attack_string_seed_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_attack_adversary_that_is_no_array_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "adversary-number.json"
+    bad.write_text('{"adversary": 5}')
+    code, _, err = run_cli(capsys, "attack", "--scenario", str(bad))
+    assert code == 2
+    assert "error:" in err and "adversary" in err
+    assert "Traceback" not in err
+
+
 def test_attack_unknown_tamper_payload_is_config_error(tmp_path, capsys):
     bad = tmp_path / "unknown-payload.json"
     bad.write_text('{"adversary": [{"action": "tamper", "message": 0, '

@@ -31,15 +31,11 @@ from ikedev.netsim import (
 )
 from ikedev.protocol import Role, Variant
 
-PAIR = (PrincipalConfig("alice", Role.INITIATOR),
-        PrincipalConfig("bob", Role.RESPONDER))
-
 
 def scenario(name="t", variant=Variant.IMPROVED, seed=5, adversary=(),
              **kwargs) -> ScenarioConfig:
     return ScenarioConfig(name=name, variant=variant, seed=seed,
-                          principals=PAIR, adversary=tuple(adversary),
-                          **kwargs)
+                          adversary=tuple(adversary), **kwargs)
 
 
 def _unfolded(report: dict) -> dict:
@@ -302,6 +298,24 @@ def test_a_principal_name_used_twice_is_a_config_error():
         ScenarioConfig(name="t", variant=Variant.IMPROVED, seed=1,
                        principals=(PrincipalConfig("alice", Role.INITIATOR),
                                    PrincipalConfig("alice", Role.RESPONDER)))
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"principals": ()}, "needs a responder"),
+    ({"principals": (PrincipalConfig("bob", Role.RESPONDER),),
+      "handshake": True}, "needs an initiator"),
+    ({"adversary": (Tamper(message=3),)}, "tamper index 3"),
+], ids=["no-responder", "no-initiator", "tamper-past-the-script"])
+def test_a_config_built_in_code_is_held_to_the_pre_run_rules(kwargs, fragment):
+    # raised when the config is built, not when it runs
+    with pytest.raises(ConfigError, match=fragment):
+        ScenarioConfig(**kwargs)
+
+
+def test_json_and_code_share_one_set_of_defaults():
+    assert ScenarioConfig.from_dict({}) == ScenarioConfig()
+    assert ScenarioConfig.from_dict(
+        {"adversary": [{"action": "flood"}]}).adversary == (Flood(),)
 
 
 def test_raw_offset_tamper_flips_exactly_one_byte():
@@ -601,6 +615,11 @@ def test_from_dict_reads_the_serial_knowledge_level():
     ({"adversary": [{"action": "flood", "forge_source": ["x"]}]},
      "forge_source"),
     ({"adversary": [{"action": "replay", "message": -1}]}, "message"),
+    ({"adversary": 5}, "adversary must be a JSON array"),
+    ({"principals": None}, "principals must be a JSON array"),
+    ({"adversary": [{"action": ["x"]}]}, "unknown adversary action"),
+    ({"adversary": "flood"}, "adversary must be a JSON array"),
+    ({"principals": "ab"}, "principals must be a JSON array"),
 ])
 def test_from_dict_rejects_bad_configs(raw, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -618,10 +637,10 @@ def test_load_scenario_missing_and_malformed(tmp_path):
 
 
 def test_load_scenario_reads_the_shipped_files():
-    for name in ("flood-improved", "flood-baseline", "tamper-ke-baseline",
-                 "observed-honest", "replay-msg1-improved"):
-        cfg = netsim.load_scenario(f"scenarios/{name}.json")
-        run_scenario(cfg)  # must execute cleanly
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        run_scenario(netsim.load_scenario(str(path)))  # must execute cleanly
 
 
 # --- message accounting ------------------------------------------------------------
