@@ -33,6 +33,7 @@ FLAG_ENCRYPTION = 0x01
 HEADER_LEN = 28
 GENERIC_HEADER_LEN = 4
 _HEADER = struct.Struct("!8s8sBBBBII")
+_GENERIC_HEADER = struct.Struct("!BBH")
 
 DEV_NONCE_LEN = 16
 DEV_FORMAT_VERSION = 1
@@ -141,10 +142,6 @@ _BODY_TYPES = {
 Body = SaBody | KeBody | NonceBody | IdBody | CertBody | SigBody | DevBody
 
 
-def payload_type_of(body: Body) -> PayloadType:
-    return _BODY_TYPES[type(body)]
-
-
 @dataclass(frozen=True, slots=True)
 class IsakmpPayload:
     """One payload; its generic header's link is the successor's type."""
@@ -153,31 +150,30 @@ class IsakmpPayload:
 
     @property
     def type(self) -> PayloadType:
-        return payload_type_of(self.body)
+        return _BODY_TYPES[type(self.body)]
 
 
 @dataclass(slots=True)
-class IsakmpHeader:
+class IsakmpMessage:
+    """The fixed header's own fields, the clear payload chain and the
+    encrypted blob after it, if any."""
+
     initiator_cookie: bytes
     responder_cookie: bytes
     exchange_type: int = EXCHANGE_AGGRESSIVE
     flags: int = 0
     message_id: int = 0
+    payloads: list[IsakmpPayload] = field(default_factory=list)
+    encrypted_chain: bytes | None = None
 
     @property
     def encrypted(self) -> bool:
         return bool(self.flags & FLAG_ENCRYPTION)
 
-
-@dataclass(slots=True)
-class IsakmpMessage:
-    header: IsakmpHeader
-    payloads: list[IsakmpPayload] = field(default_factory=list)
-    encrypted_chain: bytes | None = None
-
-    def first(self, ptype: PayloadType) -> Body | None:
+    def first(self, cls: type[Body]) -> Body | None:
+        """The first clear payload body of class ``cls``, or None."""
         for payload in self.payloads:
-            if payload.type == ptype:
+            if type(payload.body) is cls:
                 return payload.body
         return None
 
@@ -204,6 +200,7 @@ def encode_body(body: Body) -> bytes:
     raise TypeError(f"unknown body {type(body)!r}")
 
 
+# Body parsers; a body type's own checks are the size rules.
 _BODY_PARSERS = {
     PayloadType.SA: SaBody,
     PayloadType.KE: KeBody,
@@ -211,21 +208,9 @@ _BODY_PARSERS = {
     PayloadType.ID: lambda data: IdBody(data[0], data[1:]),
     PayloadType.CERT: lambda data: CertBody(data[0], data[1:]),
     PayloadType.SIG: SigBody,
-    PayloadType.DEV: lambda data: DevBody(
-        nonce=data[1:1 + DEV_NONCE_LEN], ciphertext=data[1 + DEV_NONCE_LEN:]),
+    PayloadType.DEV: lambda data: DevBody(data[1:1 + DEV_NONCE_LEN],
+                                          data[1 + DEV_NONCE_LEN:]),
 }
-
-
-def _parse_body(ptype: PayloadType, data: bytes, base: int) -> Body:
-    """Build the body; its type's own checks are the size rules."""
-    try:
-        body = _BODY_PARSERS[ptype](data)
-    except (ValueError, IndexError) as exc:
-        raise BadLength(f"{ptype.name} body of {len(data)} bytes: {exc}",
-                        base) from None
-    if ptype == PayloadType.DEV and data[0] != DEV_FORMAT_VERSION:
-        raise BadVersion(f"DEV format version {data[0]}", base)
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,7 @@ def _encode_chain(payloads: list[IsakmpPayload]) -> bytes:
     links = [payload.type for payload in payloads[1:]] + [0]
     for payload, link in zip(payloads, links):
         body = encode_body(payload.body)
-        out += struct.pack("!BBH", link, 0, GENERIC_HEADER_LEN + len(body))
+        out += _GENERIC_HEADER.pack(link, 0, GENERIC_HEADER_LEN + len(body))
         out += body
     return bytes(out)
 
@@ -255,21 +240,28 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
     """Parse payloads until a 0 link; returns (payloads, end offset)."""
     payloads = []
     code = first_type
-    while code != 0:
+    size = len(data)
+    while code:
         ptype = _PAYLOAD_TYPES.get(code)
         if ptype is None:
             raise UnknownPayloadType(f"payload type {code}", link_offset)
-        if offset + GENERIC_HEADER_LEN > len(data):
+        if offset + GENERIC_HEADER_LEN > size:
             raise Truncated("generic payload header", offset)
-        next_payload, reserved, plen = struct.unpack_from("!BBH", data, offset)
-        if reserved != 0:
+        next_payload, reserved, plen = _GENERIC_HEADER.unpack_from(data, offset)
+        if reserved:
             raise NonzeroReserved(f"reserved byte {reserved:#04x}", offset + 1)
         if plen < GENERIC_HEADER_LEN:
             raise BadLength(f"payload length {plen} below header size", offset + 2)
-        if offset + plen > len(data):
+        if offset + plen > size:
             raise Truncated(f"payload claims {plen} bytes", offset + 2)
-        body = _parse_body(ptype, data[offset + GENERIC_HEADER_LEN:offset + plen],
-                           offset + GENERIC_HEADER_LEN)
+        start = offset + GENERIC_HEADER_LEN
+        try:
+            body = _BODY_PARSERS[ptype](data[start:offset + plen])
+        except (ValueError, IndexError) as exc:
+            raise BadLength(f"{ptype.name} body of {plen - GENERIC_HEADER_LEN} "
+                            f"bytes: {exc}", start) from None
+        if type(body) is DevBody and data[start] != DEV_FORMAT_VERSION:
+            raise BadVersion(f"DEV format version {data[start]}", start)
         payloads.append(IsakmpPayload(body))
         link_offset = offset
         offset += plen
@@ -283,42 +275,38 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
 
 def encode_message(msg: IsakmpMessage) -> bytes:
     """Serialize; links, version and length are derived from the payloads."""
-    hdr = msg.header
-    if msg.encrypted_chain is not None and not hdr.encrypted:
+    if msg.encrypted_chain is not None and not msg.encrypted:
         raise ChainMismatch("encrypted chain present without encryption flag")
     chain = _encode_chain(msg.payloads)
     tail = msg.encrypted_chain or b""
     length = HEADER_LEN + len(chain) + len(tail)
-    head = _HEADER.pack(hdr.initiator_cookie, hdr.responder_cookie,
+    head = _HEADER.pack(msg.initiator_cookie, msg.responder_cookie,
                         _first_type(msg.payloads), ISAKMP_VERSION,
-                        hdr.exchange_type, hdr.flags, hdr.message_id, length)
+                        msg.exchange_type, msg.flags, msg.message_id, length)
     return head + chain + tail
 
 
 def decode_message(data: bytes) -> IsakmpMessage:
     """Parse arbitrary bytes into a message or raise a named codec error."""
-    if len(data) < HEADER_LEN:
-        raise Truncated(f"header needs {HEADER_LEN} bytes, got {len(data)}",
-                        len(data))
+    size = len(data)
+    if size < HEADER_LEN:
+        raise Truncated(f"header needs {HEADER_LEN} bytes, got {size}", size)
     (cky_i, cky_r, next_payload, version, exchange_type, flags,
      message_id, length) = _HEADER.unpack_from(data)
     if version != ISAKMP_VERSION:
         raise BadVersion(f"version byte {version:#04x}", 17)
-    if length != len(data):
-        raise BadLength(f"header says {length} bytes, message has {len(data)}", 24)
-    header = IsakmpHeader(
-        initiator_cookie=cky_i, responder_cookie=cky_r,
-        exchange_type=exchange_type, flags=flags, message_id=message_id)
+    if length != size:
+        raise BadLength(f"header says {length} bytes, message has {size}", 24)
     payloads, offset = _parse_chain(data, HEADER_LEN, next_payload, 16)
     encrypted_chain = None
-    if offset < len(data):
-        if not header.encrypted:
+    if offset < size:
+        if not flags & FLAG_ENCRYPTION:
             raise BadLength(
-                f"{len(data) - offset} trailing bytes without encryption flag",
+                f"{size - offset} trailing bytes without encryption flag",
                 offset)
         encrypted_chain = data[offset:]
-    return IsakmpMessage(header=header, payloads=payloads,
-                         encrypted_chain=encrypted_chain)
+    return IsakmpMessage(cky_i, cky_r, exchange_type, flags, message_id,
+                         payloads, encrypted_chain)
 
 
 def link_payloads(bodies: list[Body]) -> list[IsakmpPayload]:
@@ -332,11 +320,9 @@ def build_message(initiator_cookie: bytes, responder_cookie: bytes,
     """Assemble a message; the encoder derives links and header length."""
     if encrypted_chain is not None and not flags & FLAG_ENCRYPTION:
         raise ChainMismatch("encrypted chain present without encryption flag")
-    header = IsakmpHeader(
-        initiator_cookie=initiator_cookie, responder_cookie=responder_cookie,
-        flags=flags, message_id=message_id)
-    return IsakmpMessage(header=header, payloads=link_payloads(bodies),
-                         encrypted_chain=encrypted_chain)
+    return IsakmpMessage(initiator_cookie, responder_cookie,
+                         EXCHANGE_AGGRESSIVE, flags, message_id,
+                         link_payloads(bodies), encrypted_chain)
 
 
 # ---------------------------------------------------------------------------

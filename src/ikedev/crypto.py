@@ -325,12 +325,12 @@ def seal(suite: AeadSuite, key: bytes, rng: random.Random, plaintext: bytes) -> 
 
 def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
     """Authenticate and decrypt a :func:`seal` blob."""
-    if len(blob) < suite.nonce_size + suite.tag_size:
+    split = suite.nonce_size
+    if len(blob) < split + suite.tag_size:
         raise MalformedCiphertext(
             f"ciphertext of {len(blob)} bytes cannot hold nonce and tag")
-    nonce, ct = blob[:suite.nonce_size], blob[suite.nonce_size:]
     try:
-        return _aesgcm(key).decrypt(nonce, ct, b"")
+        return _aesgcm(key).decrypt(blob[:split], blob[split:], b"")
     except InvalidTag:
         raise AuthFailure("authentication tag mismatch") from None
 

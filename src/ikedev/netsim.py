@@ -376,7 +376,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
         plain = _body_plaintext(body)
         sealed = (body.encoding == CERT_ENCODING_SEALED
                   if isinstance(body, codec.CertBody)
-                  else isinstance(body, codec.SigBody) and msg.header.encrypted)
+                  else isinstance(body, codec.SigBody) and msg.encrypted)
         if sealed:
             plain = first_opened(
                 lambda serial, blob=plain: auth_opener(serial)(blob))

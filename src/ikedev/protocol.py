@@ -221,8 +221,7 @@ class HandshakeSession:
     def _record(self, op: str, emitted: str | None = None,
                 failure: str | None = None) -> None:
         self.events.append(TransitionEvent(
-            op=op, state=self.state.value, emitted=emitted, failure=failure,
-            counters=self.counters.to_dict()))
+            op, self.state._value_, emitted, failure, self.counters.to_dict()))
 
     def _fail(self, op: str, step: str) -> None:
         self.state = SessionState.FAILED
@@ -245,7 +244,7 @@ class HandshakeSession:
         return crypto.sign(self.file_identity.signing_key, digest)
 
     def _require_token(self, op: str) -> None:
-        if self.variant is Variant.IMPROVED and self.token is None:
+        if self.token is None and self.variant is Variant.IMPROVED:
             self._fail(op, "no device")
             raise DeviceAbsent(f"{self.name} has no security key device")
 
@@ -292,14 +291,15 @@ class HandshakeSession:
     def _open_ladder(self, msg: IsakmpMessage) -> list[codec.IsakmpPayload] | str:
         """The peer's SA/KE/nonce/ID payloads, or why they cannot be had.
 
-        The improved variant authenticates DEV under key1, admits its nonce
-        to the replay guard, then opens the chain under (key1, peer serial).
-        Reasons: ``no-dev``, ``bad-dev``, ``replay``, ``bad-chain`` and
-        ``malformed``.
+        The improved variant authenticates DEV under key1, opens the chain
+        under (key1, peer serial), then admits the DEV nonce to the replay
+        guard, so a copy whose chain does not open spends no nonce.
+        Reasons: ``no-dev``, ``bad-dev``, ``bad-chain``, ``malformed`` and
+        ``replay``.
         """
         if self.variant is Variant.BASELINE:
             return msg.payloads
-        dev = msg.first(PayloadType.DEV)
+        dev = msg.first(DevBody)
         if dev is None:
             return "no-dev"
         try:
@@ -309,18 +309,19 @@ class HandshakeSession:
             return "bad-dev"
         if len(serial) != crypto.SERIAL_LEN:
             return "bad-dev"
-        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
-            return "replay"
-        self.peer_serial = serial
         if msg.encrypted_chain is None:
             return "malformed"
         try:
-            return open_chain(self.token, serial, msg.encrypted_chain)
+            payloads = open_chain(self.token, serial, msg.encrypted_chain)
         except (AuthFailure, MalformedCiphertext):
             self.counters.decrypt_failures += 1
             return "bad-chain"
         except CodecError:
             return "malformed"
+        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
+            return "replay"
+        self.peer_serial = serial
+        return payloads
 
     def _open_peer_auth(self, cert_body: CertBody, sig_body: SigBody,
                         peer_id: IdBody) -> tuple[Certificate, bytes] | str:
@@ -378,9 +379,9 @@ class HandshakeSession:
             self._fail(op, "out-of-order")
             return None
         self._require_token(op)
-        self.cky_i = msg.header.initiator_cookie
+        self.cky_i = msg.initiator_cookie
 
-        if self.variant is Variant.IMPROVED and self.disable_dos_gate:
+        if self.disable_dos_gate and self.variant is Variant.IMPROVED:
             # Regression mode: pay for the DH keypair before the gate, the
             # way the baseline does.
             self.counters.dh_ops += 1
@@ -433,7 +434,7 @@ class HandshakeSession:
         if self.role is not Role.INITIATOR or self.state is not SessionState.SENT1:
             self._fail(op, "out-of-order")
             return None
-        self.cky_r = msg.header.responder_cookie
+        self.cky_r = msg.responder_cookie
 
         payloads = self._open_ladder(msg)
         if isinstance(payloads, str):
@@ -446,8 +447,8 @@ class HandshakeSession:
             return None
         sa, ke, nonce, peer_id = ladder
 
-        cert_body = msg.first(PayloadType.CERT)
-        sig_body = msg.first(PayloadType.SIG)
+        cert_body = msg.first(CertBody)
+        sig_body = msg.first(SigBody)
         if cert_body is None:
             self._fail(op, "cert")
             return None
@@ -499,8 +500,8 @@ class HandshakeSession:
             self._fail(op, "out-of-order")
             return False
 
-        cert_body = msg.first(PayloadType.CERT)
-        sig_body = msg.first(PayloadType.SIG)
+        cert_body = msg.first(CertBody)
+        sig_body = msg.first(SigBody)
         if cert_body is None or sig_body is None:
             self._fail(op, "malformed")
             return False

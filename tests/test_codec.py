@@ -1,5 +1,6 @@
 """Wire-format tests: golden vector, round trips, totality under fuzz."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -62,9 +63,9 @@ def test_golden_vector_encodes_byte_exact():
 
 def test_golden_vector_decodes_to_expected_structure():
     msg = codec.decode_message(load_vector("aggressive_msg1.txt"))
-    assert msg.header.initiator_cookie == b"INITCOOK"
-    assert msg.header.exchange_type == codec.EXCHANGE_AGGRESSIVE
-    assert not msg.header.encrypted
+    assert msg.initiator_cookie == b"INITCOOK"
+    assert msg.exchange_type == codec.EXCHANGE_AGGRESSIVE
+    assert not msg.encrypted
     assert [p.type for p in msg.payloads] == [
         PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID]
     assert msg.payloads[0].body.proposal == codec.DEFAULT_SA_PROPOSAL
@@ -212,7 +213,8 @@ def test_parse_payload_chain_rejects_empty_and_trailing():
 
 def test_encode_rejects_blob_without_flag():
     msg = _fixed_msg1()
-    bad = IsakmpMessage(msg.header, msg.payloads, b"\x00" * 33)
+    bad = IsakmpMessage(msg.initiator_cookie, msg.responder_cookie,
+                        payloads=msg.payloads, encrypted_chain=b"\x00" * 33)
     with pytest.raises(ChainMismatch):
         codec.encode_message(bad)
 
@@ -255,8 +257,9 @@ def test_dev_body_rejects_wrong_format_version():
     wire = bytearray(codec.encode_message(
         codec.build_message(b"A" * 8, b"B" * 8, [dev])))
     wire[codec.HEADER_LEN + 4] = 2  # DEV format byte
-    with pytest.raises(BadVersion):
+    with pytest.raises(BadVersion) as info:
         codec.decode_message(bytes(wire))
+    assert info.value.offset == codec.HEADER_LEN + 4
 
 
 def test_dev_body_minimum_length_enforced():
@@ -270,6 +273,11 @@ def test_dev_body_minimum_length_enforced():
     wire[24:28] = len(wire).to_bytes(4, "big")
     with pytest.raises(BadLength):
         codec.decode_message(bytes(wire))
+    # the size rule is checked before the format byte
+    wire[codec.HEADER_LEN + 4] = 2
+    with pytest.raises(BadLength) as info:
+        codec.decode_message(bytes(wire))
+    assert info.value.offset == codec.HEADER_LEN + 4
 
 
 # --- byte-range helpers --------------------------------------------------------
@@ -296,7 +304,9 @@ def test_build_message_rejects_blob_without_flag():
 
 # --- totality fuzz --------------------------------------------------------------
 
-def test_decode_total_over_10000_adversarial_inputs():
+def _adversarial_inputs():
+    """10,000 fixed inputs: random bytes, and two valid messages with bytes
+    overwritten, some of them cut short."""
     rng = random.Random(0xC0DEC)
     seeds = [codec.encode_message(_fixed_msg1())]
     msg = codec.build_message(
@@ -305,19 +315,22 @@ def test_decode_total_over_10000_adversarial_inputs():
          CertBody(200, b"\x07" * 40), SigBody(b"\x08" * 64)],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=b"\x09" * 64)
     seeds.append(codec.encode_message(msg))
-
-    decoded = 0
-    for i in range(10_000):
+    for _ in range(10_000):
         mode = rng.randrange(3)
         if mode == 0:
-            data = rng.randbytes(rng.randrange(0, 200))
-        else:
-            base = bytearray(seeds[rng.randrange(len(seeds))])
-            for _ in range(rng.randrange(1, 6)):
-                base[rng.randrange(len(base))] = rng.randrange(256)
-            if mode == 2:
-                base = base[:rng.randrange(len(base) + 1)]
-            data = bytes(base)
+            yield rng.randbytes(rng.randrange(0, 200))
+            continue
+        base = bytearray(seeds[rng.randrange(len(seeds))])
+        for _ in range(rng.randrange(1, 6)):
+            base[rng.randrange(len(base))] = rng.randrange(256)
+        if mode == 2:
+            base = base[:rng.randrange(len(base) + 1)]
+        yield bytes(base)
+
+
+def test_decode_total_over_10000_adversarial_inputs():
+    decoded = 0
+    for data in _adversarial_inputs():
         try:
             codec.decode_message(data)
             decoded += 1
@@ -325,3 +338,20 @@ def test_decode_total_over_10000_adversarial_inputs():
             assert 0 <= exc.offset <= len(data)
     # sanity: the fuzzer must actually exercise the error paths
     assert decoded < 10_000
+
+
+# What decode made of each adversarial input: the error class and offset,
+# or the message encoded again.  A rework of the decoder must keep it.
+DECODE_DIGEST = (
+    "5430f4217451245d5d338cf2ab38a78abe53cd20d323b843719443d9cfcfb3fb")
+
+
+def test_decode_outcomes_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for data in _adversarial_inputs():
+        try:
+            outcome = ("decoded", codec.encode_message(codec.decode_message(data)))
+        except CodecError as exc:
+            outcome = (type(exc).__name__, exc.offset)
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == DECODE_DIGEST

@@ -12,7 +12,7 @@ import types
 import pytest
 
 from conftest import Fleet, drive_handshake
-from ikedev import codec, crypto, netsim
+from ikedev import codec, crypto, netsim, protocol, usbkey
 from ikedev.codec import CertBody, DevBody, IdBody, KeBody, NonceBody, PayloadType, SaBody
 from ikedev.errors import DeviceAbsent, IkeDevError
 from ikedev.protocol import (
@@ -62,12 +62,12 @@ def test_improved_wire_shapes(fleet):
     assert [p.type for p in msgs[0].payloads] == [PayloadType.DEV]
     assert [p.type for p in msgs[1].payloads] == [
         PayloadType.DEV, PayloadType.CERT, PayloadType.SIG]
-    assert msgs[0].header.encrypted and msgs[0].encrypted_chain
-    assert msgs[1].header.encrypted and msgs[1].encrypted_chain
+    assert msgs[0].encrypted and msgs[0].encrypted_chain
+    assert msgs[1].encrypted and msgs[1].encrypted_chain
     # message 3 is flagged encrypted but everything rides in sealed bodies
     assert [p.type for p in msgs[2].payloads] == [
         PayloadType.CERT, PayloadType.SIG]
-    assert msgs[2].header.encrypted and msgs[2].encrypted_chain is None
+    assert msgs[2].encrypted and msgs[2].encrypted_chain is None
     assert msgs[1].payloads[1].body.encoding == CERT_ENCODING_SEALED
 
 
@@ -252,6 +252,60 @@ def test_gate_detects_replayed_dev_nonce(fleet):
     assert again.counters.messages_rejected_pre_dh == 1
 
 
+def test_tampered_copy_of_msg1_does_not_spend_its_dev_nonce(fleet):
+    # a copy of message 1 whose chain does not open, delivered first, leaves
+    # the DEV nonce out of the replay guard, so the genuine one is answered
+    ini, rsp = fleet.pair(Variant.IMPROVED)
+    wire = codec.encode_message(ini.initiator_start())
+    tampered = wire[:-1] + bytes([wire[-1] ^ 0x01])
+    assert rsp.responder_on_msg1(codec.decode_message(tampered)) is None
+    assert rsp.events[-1].failure == "bad-chain"
+    assert rsp.counters.dh_ops == 0
+
+    genuine = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                            replay_guard=rsp.replay_guard, label="1")
+    assert genuine.responder_on_msg1(codec.decode_message(wire)) is not None
+    assert genuine.counters.dh_ops == 1
+
+
+def _count_calls(monkeypatch, calls: list[str], module, name: str) -> None:
+    """Record each call of ``module.name``, under every name ikedev binds
+    it to, in ``calls``."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in (codec, crypto, usbkey, protocol, netsim):
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counting)
+
+
+@pytest.mark.parametrize("disable_dos_gate", [False, True])
+def test_forged_msg1_costs_one_aead_open_before_the_gate(
+        fleet, monkeypatch, disable_dos_gate):
+    wire = netsim._forged_msg1(Variant.IMPROVED, random.Random(4),
+                               crypto.MODP2048_GROUP, "attacker")
+    calls: list[str] = []
+    for module, name in ((crypto, "open_sealed"),
+                         (usbkey, "device_session_decrypt"),
+                         (crypto, "kdf_session"), (crypto, "dh_keypair")):
+        _count_calls(monkeypatch, calls, module, name)
+    msg = codec.decode_message(wire)
+    rsp = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                        replay_guard=ReplayGuard(), group=crypto.MODP2048_GROUP,
+                        disable_dos_gate=disable_dos_gate)
+    assert rsp.responder_on_msg1(msg) is None
+    assert rsp.events[-1].failure == "bad-dev"
+    if disable_dos_gate:   # the regression mode pays for its keypair first
+        assert calls == ["dh_keypair", "open_sealed"]
+    else:
+        assert calls == ["open_sealed"]
+        assert rsp.counters.messages_rejected_pre_dh == 1
+
+
 def test_replay_guard_lru_eviction():
     guard = ReplayGuard(capacity=2)
     assert not guard.seen_before(b"a")
@@ -394,8 +448,8 @@ def test_improved_dev_tamper_rejected_at_the_gate(fleet):
 
 def _resign_chain(msg, new_bodies):
     return codec.build_message(
-        msg.header.initiator_cookie, msg.header.responder_cookie, new_bodies,
-        flags=msg.header.flags, message_id=msg.header.message_id,
+        msg.initiator_cookie, msg.responder_cookie, new_bodies,
+        flags=msg.flags, message_id=msg.message_id,
         encrypted_chain=msg.encrypted_chain)
 
 
