@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 from .errors import (
     BadLength,
@@ -129,16 +130,6 @@ class DevBody:
         return self.nonce + self.ciphertext
 
 
-_BODY_TYPES = {
-    SaBody: PayloadType.SA,
-    KeBody: PayloadType.KE,
-    IdBody: PayloadType.ID,
-    CertBody: PayloadType.CERT,
-    SigBody: PayloadType.SIG,
-    NonceBody: PayloadType.NONCE,
-    DevBody: PayloadType.DEV,
-}
-
 Body = SaBody | KeBody | NonceBody | IdBody | CertBody | SigBody | DevBody
 
 
@@ -150,7 +141,7 @@ class IsakmpPayload:
 
     @property
     def type(self) -> PayloadType:
-        return _BODY_TYPES[type(self.body)]
+        return _BODY_CODECS[type(self.body)][0]
 
 
 @dataclass(slots=True)
@@ -182,25 +173,32 @@ class IsakmpMessage:
 # Body encode / parse
 # ---------------------------------------------------------------------------
 
+# Each body class's payload type and encoder, the one place both live.
+_BODY_CODECS = {
+    SaBody: (PayloadType.SA, attrgetter("proposal")),
+    KeBody: (PayloadType.KE, attrgetter("public_value")),
+    NonceBody: (PayloadType.NONCE, attrgetter("nonce")),
+    IdBody: (PayloadType.ID, lambda body: bytes([body.id_type]) + body.identity),
+    CertBody: (PayloadType.CERT,
+               lambda body: bytes([body.encoding]) + body.certificate),
+    SigBody: (PayloadType.SIG, attrgetter("signature")),
+    DevBody: (PayloadType.DEV, lambda body: bytes([DEV_FORMAT_VERSION])
+              + body.nonce + body.ciphertext),
+}
+
+# The payload name of each body class, as the message log spells it.
+PAYLOAD_NAMES = {cls: ptype.name for cls, (ptype, _) in _BODY_CODECS.items()}
+
+
 def encode_body(body: Body) -> bytes:
-    if isinstance(body, SaBody):
-        return body.proposal
-    if isinstance(body, KeBody):
-        return body.public_value
-    if isinstance(body, NonceBody):
-        return body.nonce
-    if isinstance(body, IdBody):
-        return bytes([body.id_type]) + body.identity
-    if isinstance(body, CertBody):
-        return bytes([body.encoding]) + body.certificate
-    if isinstance(body, SigBody):
-        return body.signature
-    if isinstance(body, DevBody):
-        return bytes([DEV_FORMAT_VERSION]) + body.nonce + body.ciphertext
-    raise TypeError(f"unknown body {type(body)!r}")
+    try:
+        _, encode = _BODY_CODECS[type(body)]
+    except KeyError:
+        raise TypeError(f"unknown body {type(body)!r}") from None
+    return encode(body)
 
 
-# Body parsers; a body type's own checks are the size rules.
+# Body parsers by type code; a body type's own checks are the size rules.
 _BODY_PARSERS = {
     PayloadType.SA: SaBody,
     PayloadType.KE: KeBody,
@@ -217,22 +215,16 @@ _BODY_PARSERS = {
 # Chain encode / parse
 # ---------------------------------------------------------------------------
 
-def _first_type(payloads: list[IsakmpPayload]) -> int:
-    return payloads[0].type if payloads else 0
-
-
-def _encode_chain(payloads: list[IsakmpPayload]) -> bytes:
-    """Each generic header links to the type of the payload after it."""
-    out = bytearray()
-    links = [payload.type for payload in payloads[1:]] + [0]
-    for payload, link in zip(payloads, links):
+def _encode_chain(payloads: list[IsakmpPayload]) -> tuple[int, bytes]:
+    """The first payload's type and the chain, whose generic headers each
+    link to the type of the payload after it."""
+    codes = [_BODY_CODECS[type(payload.body)][0] for payload in payloads]
+    out = b""
+    for payload, link in zip(payloads, codes[1:] + [0]):
         body = encode_body(payload.body)
         out += _GENERIC_HEADER.pack(link, 0, GENERIC_HEADER_LEN + len(body))
         out += body
-    return bytes(out)
-
-
-_PAYLOAD_TYPES = {ptype.value: ptype for ptype in PayloadType}
+    return (codes[0] if codes else 0), out
 
 
 def _parse_chain(data: bytes, offset: int, first_type: int,
@@ -242,8 +234,8 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
     code = first_type
     size = len(data)
     while code:
-        ptype = _PAYLOAD_TYPES.get(code)
-        if ptype is None:
+        parse = _BODY_PARSERS.get(code)
+        if parse is None:
             raise UnknownPayloadType(f"payload type {code}", link_offset)
         if offset + GENERIC_HEADER_LEN > size:
             raise Truncated("generic payload header", offset)
@@ -256,10 +248,11 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
             raise Truncated(f"payload claims {plen} bytes", offset + 2)
         start = offset + GENERIC_HEADER_LEN
         try:
-            body = _BODY_PARSERS[ptype](data[start:offset + plen])
+            body = parse(data[start:offset + plen])
         except (ValueError, IndexError) as exc:
-            raise BadLength(f"{ptype.name} body of {plen - GENERIC_HEADER_LEN} "
-                            f"bytes: {exc}", start) from None
+            raise BadLength(f"{PayloadType(code).name} body of "
+                            f"{plen - GENERIC_HEADER_LEN} bytes: {exc}",
+                            start) from None
         if type(body) is DevBody and data[start] != DEV_FORMAT_VERSION:
             raise BadVersion(f"DEV format version {data[start]}", start)
         payloads.append(IsakmpPayload(body))
@@ -277,11 +270,11 @@ def encode_message(msg: IsakmpMessage) -> bytes:
     """Serialize; links, version and length are derived from the payloads."""
     if msg.encrypted_chain is not None and not msg.encrypted:
         raise ChainMismatch("encrypted chain present without encryption flag")
-    chain = _encode_chain(msg.payloads)
+    first, chain = _encode_chain(msg.payloads)
     tail = msg.encrypted_chain or b""
     length = HEADER_LEN + len(chain) + len(tail)
     head = _HEADER.pack(msg.initiator_cookie, msg.responder_cookie,
-                        _first_type(msg.payloads), ISAKMP_VERSION,
+                        first, ISAKMP_VERSION,
                         msg.exchange_type, msg.flags, msg.message_id, length)
     return head + chain + tail
 
@@ -311,7 +304,7 @@ def decode_message(data: bytes) -> IsakmpMessage:
 
 def link_payloads(bodies: list[Body]) -> list[IsakmpPayload]:
     """Wrap bodies into a payload chain."""
-    return [IsakmpPayload(body) for body in bodies]
+    return list(map(IsakmpPayload, bodies))
 
 
 def build_message(initiator_cookie: bytes, responder_cookie: bytes,
@@ -331,7 +324,8 @@ def build_message(initiator_cookie: bytes, responder_cookie: bytes,
 
 def serialize_payload_chain(payloads: list[IsakmpPayload]) -> bytes:
     """Self-describing chain plaintext: leading type byte, then the chain."""
-    return bytes([_first_type(payloads)]) + _encode_chain(payloads)
+    first, chain = _encode_chain(payloads)
+    return bytes([first]) + chain
 
 
 def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:

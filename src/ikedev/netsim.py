@@ -386,7 +386,8 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
     if msg.encrypted_chain is not None and token is not None:
         inner = first_opened(lambda serial: open_chain(
             token, serial, msg.encrypted_chain)) or []
-        findings.extend(Finding(payload.type.name, _body_plaintext(payload.body))
+        findings.extend(Finding(codec.PAYLOAD_NAMES[type(payload.body)],
+                                _body_plaintext(payload.body))
                         for payload in inner)
     return findings
 
@@ -475,10 +476,12 @@ def _fold_into(entries: list[dict], entry: dict) -> None:
     a run of equal entries costs the report one entry."""
     if entries:
         last = entries[-1]
-        if (all(last[k] == v for k, v in entry.items() if k != "index")
-                and ("index" not in entry
-                     or last["index"] + last["count"] == entry["index"])):
-            last["count"] += 1
+        count = last["count"]
+        runs_on = {**entry, "count": count}   # the last entry, if entry runs on
+        if "index" in entry:
+            runs_on["index"] -= count
+        if last == runs_on:
+            last["count"] = count + 1
             return
     entry["count"] = 1
     entries.append(entry)
@@ -646,7 +649,8 @@ def _run(config: ScenarioConfig,
                     "principal": dst, "op": "decode",
                     "failure": f"codec:{type(exc).__name__}"})
         if decoded is not None:
-            payload_names = [p.type.name for p in decoded.payloads]
+            payload_names = [codec.PAYLOAD_NAMES[type(p.body)]
+                             for p in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
             for obs in observers:
                 for finding in observe(decoded, obs.token, obs.serials):
@@ -666,8 +670,10 @@ def _run(config: ScenarioConfig,
         session = principal.new_session(config.variant, seed, group,
                                         config.disable_dos_gate)
         if msg is not None:
-            with contextlib.suppress(DeviceAbsent):
+            try:
                 getattr(session, _STEP[kind])(msg)
+            except DeviceAbsent:
+                pass
         drain(principal, session)
 
     # Phase 1: floods.

@@ -44,7 +44,6 @@ from .codec import (
     IsakmpMessage,
     KeBody,
     NonceBody,
-    PayloadType,
     SaBody,
     SigBody,
 )
@@ -136,9 +135,15 @@ class ReplayGuard:
         self.capacity = capacity
         self._seen: OrderedDict[bytes, None] = OrderedDict()
 
-    def seen_before(self, nonce: bytes) -> bool:
+    def recall(self, nonce: bytes) -> bool:
+        """Whether ``nonce`` was seen; a seen nonce becomes the most recent."""
         if nonce in self._seen:
             self._seen.move_to_end(nonce)
+            return True
+        return False
+
+    def seen_before(self, nonce: bytes) -> bool:
+        if self.recall(nonce):
             return True
         self._seen[nonce] = None
         if len(self._seen) > self.capacity:
@@ -171,16 +176,13 @@ def auth_opener(serial: bytes) -> Callable[[bytes], bytes]:
     return lambda blob: crypto.open_sealed(crypto.AES256GCM, key, blob)
 
 
-_LADDER = (PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID)
-
-
 def _ladder_bodies(payloads) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
-    found: dict[PayloadType, object] = {}
-    for payload in payloads:
-        found.setdefault(payload.type, payload.body)
-    if any(ptype not in found for ptype in _LADDER):
+    """The first SA, KE, nonce and ID bodies, or None if one is missing."""
+    found = {type(payload.body): payload.body for payload in reversed(payloads)}
+    try:
+        return found[SaBody], found[KeBody], found[NonceBody], found[IdBody]
+    except KeyError:
         return None
-    return tuple(found[ptype] for ptype in _LADDER)  # type: ignore[return-value]
 
 
 @dataclass(slots=True)
@@ -234,15 +236,6 @@ class HandshakeSession:
             self.counters.messages_rejected_pre_dh += 1
         self._record(op, failure=reason)
 
-    def _sign(self, digest: bytes) -> bytes:
-        if self.variant is Variant.IMPROVED:
-            self.signature_backend = "device"
-            return device_sign(self.token, digest)
-        if self.file_identity is None:
-            raise DeviceAbsent(f"{self.name} has no file identity")
-        self.signature_backend = "file"
-        return crypto.sign(self.file_identity.signing_key, digest)
-
     def _require_token(self, op: str) -> None:
         if self.token is None and self.variant is Variant.IMPROVED:
             self._fail(op, "no device")
@@ -250,16 +243,13 @@ class HandshakeSession:
 
     # -- sealing and opening, the same in both directions ---------------------
 
-    def _ladder_message(self, sa: bytes, auth: list[Body]) -> IsakmpMessage:
-        """Message 1 (``auth`` empty) or message 2: own SA/KE/nonce/ID and
-        ``auth``.  The improved variant puts a DEV payload first and seals
-        the SA/KE/nonce/ID chain under (key1, own serial)."""
-        bodies = [
-            SaBody(sa),
-            KeBody(self.own_public),
-            NonceBody(self.own_nonce),
-            IdBody(ID_TYPE_FQDN, self.name.encode()),
-        ]
+    def _ladder_message(self, sa: SaBody, own_id: IdBody,
+                        auth: list[Body]) -> IsakmpMessage:
+        """Message 1 (``auth`` empty) or message 2: ``sa``, own KE and
+        nonce, ``own_id`` and ``auth``.  The improved variant puts a DEV
+        payload first and seals the SA/KE/nonce/ID chain under (key1, own
+        serial)."""
+        bodies = [sa, KeBody(self.own_public), NonceBody(self.own_nonce), own_id]
         if self.variant is Variant.BASELINE:
             return codec.build_message(self.cky_i, self.cky_r, bodies + auth)
         dev = DevBody.from_sealed(device_encrypt(self.token, self.token.serial))
@@ -271,13 +261,18 @@ class HandshakeSession:
                                    encrypted_chain=blob)
 
     def _auth_bodies(self, digest: bytes) -> list[Body]:
-        """Sign ``digest``; CERT + SIG, sealed under the own serial key in
-        the improved variant."""
-        signature = self._sign(digest)   # checks the device or file is there
+        """Sign ``digest`` with the file identity, or with the device in the
+        improved variant; CERT + SIG, sealed under the own serial key in the
+        improved variant."""
         if self.variant is Variant.BASELINE:
+            if self.file_identity is None:
+                raise DeviceAbsent(f"{self.name} has no file identity")
+            self.signature_backend = "file"
             return [CertBody(CERT_ENCODING_CLEAR,
                              self.file_identity.certificate.encoded),
-                    SigBody(signature)]
+                    SigBody(crypto.sign(self.file_identity.signing_key, digest))]
+        self.signature_backend = "device"
+        signature = device_sign(self.token, digest)
         cert_encoded = device_get_certificate(self.token).encoded
         serial_key = crypto.kdf_serial(self.token.serial)
         return [
@@ -291,9 +286,10 @@ class HandshakeSession:
     def _open_ladder(self, msg: IsakmpMessage) -> list[codec.IsakmpPayload] | str:
         """The peer's SA/KE/nonce/ID payloads, or why they cannot be had.
 
-        The improved variant authenticates DEV under key1, opens the chain
-        under (key1, peer serial), then admits the DEV nonce to the replay
-        guard, so a copy whose chain does not open spends no nonce.
+        The improved variant authenticates DEV under key1, turns away a DEV
+        nonce the replay guard has seen, opens the chain under (key1, peer
+        serial), then admits the nonce, so a replay costs no chain open and
+        a copy whose chain does not open spends no nonce.
         Reasons: ``no-dev``, ``bad-dev``, ``bad-chain``, ``malformed`` and
         ``replay``.
         """
@@ -311,6 +307,9 @@ class HandshakeSession:
             return "bad-dev"
         if msg.encrypted_chain is None:
             return "malformed"
+        guard = self.replay_guard
+        if guard is not None and guard.recall(dev.nonce):
+            return "replay"
         try:
             payloads = open_chain(self.token, serial, msg.encrypted_chain)
         except (AuthFailure, MalformedCiphertext):
@@ -318,8 +317,8 @@ class HandshakeSession:
             return "bad-chain"
         except CodecError:
             return "malformed"
-        if self.replay_guard is not None and self.replay_guard.seen_before(dev.nonce):
-            return "replay"
+        if guard is not None:
+            guard.seen_before(dev.nonce)
         self.peer_serial = serial
         return payloads
 
@@ -368,7 +367,7 @@ class HandshakeSession:
         self._sa_offer = codec.DEFAULT_SA_PROPOSAL
         self._id_i = IdBody(ID_TYPE_FQDN, self.name.encode())
 
-        msg = self._ladder_message(self._sa_offer, [])
+        msg = self._ladder_message(SaBody(self._sa_offer), self._id_i, [])
         self.state = SessionState.SENT1
         self._record(op, emitted="msg1")
         return msg
@@ -419,12 +418,11 @@ class HandshakeSession:
         self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
                                            shared, self.cky_i, self.cky_r)
 
-        sa_echo = sa.proposal
         hash_r = crypto.compute_hash_r(self.skeyid.skeyid, self.own_public,
                                        self.peer_public, self.cky_r,
-                                       self.cky_i, sa_echo,
+                                       self.cky_i, sa.proposal,
                                        codec.encode_body(self._id_r))
-        reply = self._ladder_message(sa_echo, self._auth_bodies(hash_r))
+        reply = self._ladder_message(sa, self._id_r, self._auth_bodies(hash_r))
         self.state = SessionState.SENT2
         self._record(op, emitted="msg2")
         return reply

@@ -9,6 +9,7 @@ its fast paths, the fixed-base table on ``desk64`` and OpenSSL on
 
 import copy
 import hashlib
+import hmac
 import os
 import pickle
 import random
@@ -218,6 +219,35 @@ def test_prf_rfc4231_case_1():
                 "881dc200c9833da726e9376c2e32cff7")
     assert crypto.prf(key, b"Hi There").hex() == expected
     assert _hmac_oracle(key, b"Hi There").hex() == expected
+
+
+@pytest.mark.parametrize("key, data, expected", [
+    pytest.param(b"Jefe", b"what do ya want for nothing?",
+                 "5bdcc146bf60754e6a042426089575c7"
+                 "5a003f089d2739839dec58b964ec3843", id="case-2"),
+    pytest.param(b"\xaa" * 20, b"\xdd" * 50,
+                 "773ea91e36800e46854db8ebd09181a7"
+                 "2959098b3ef8c122d9635514ced565fe", id="case-3"),
+    pytest.param(bytes(range(1, 26)), b"\xcd" * 50,
+                 "82558a389a443c0ea4cc819899f2083a"
+                 "85f0faa3e578f8077a2e3ff46729665b", id="case-4"),
+    pytest.param(b"\xaa" * 131,
+                 b"Test Using Larger Than Block-Size Key - Hash Key First",
+                 "60e431591ee0b67f0d8a26aacbf5b77f"
+                 "8e0bc6213728c5140546040f0ee37f54", id="case-6"),
+    pytest.param(b"\xaa" * 131,
+                 b"This is a test using a larger than block-size key and a "
+                 b"larger than block-size data. The key needs to be hashed "
+                 b"before being used by the HMAC algorithm.",
+                 "9b09ffa71b942fcb27635fbcd5b0e944"
+                 "bfdc63644f0713938a7f51535c3a35e2", id="case-7"),
+])
+def test_prf_rfc4231_cases(key, data, expected):
+    """RFC 4231 section 4's HMAC-SHA-256 values; case 5 truncates its
+    output and is left out.  Cases 6 and 7 have a 131-byte key, longer than
+    SHA-256's 64-byte block, so the PRF hashes the key first."""
+    assert crypto.prf(key, data).hex() == expected
+    assert hmac.new(key, data, hashlib.sha256).hexdigest() == expected
 
 
 @given(key=st.binary(min_size=0, max_size=100),

@@ -1,5 +1,6 @@
 """Adversarial simulator tests: scripting, observation, verdict derivation."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import requires_loopback_udp
-from ikedev import codec, crypto, netsim, usbkey
+from ikedev import codec, crypto, netsim, protocol, usbkey
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
     EXPECTED_VERDICTS,
@@ -217,6 +218,67 @@ def test_flood_counters_improved():
     assert bob["messages_rejected_pre_dh"] == FLOOD_COUNT
     assert bob["decrypt_failures"] == FLOOD_COUNT
     assert report.verdicts["dos_prevention"] == netsim.SUPPORTED
+
+
+# The calls a flood packet is charged for, counted through module attributes.
+_FLOOD_CHARGES = ((crypto, "dh_keypair"), (crypto, "dh_shared"),
+                  (crypto, "derive_skeyid"), (crypto, "sign"),
+                  (crypto, "kdf_session"), (crypto, "open_sealed"),
+                  (codec, "encode_message"))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_flood_packet_pays_what_the_model_charges(monkeypatch, variant):
+    """A speedup of the flood path keeps its work: 50 desk64 packets cost
+    the forger one encode each, the baseline responder one keypair, one
+    shared secret, one SKEYID ladder and one signature each, and the gated
+    improved responder one failing key1 open each and nothing more."""
+    party = ["setup"]               # who makes the calls counted now
+    calls = collections.Counter()   # (party, name) and (party, name, "failed")
+
+    def acting_as(label, method):
+        def acting(*args, **kwargs):
+            party.append(label)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                party.pop()
+        return acting
+
+    monkeypatch.setattr(netsim, "_forged_msg1",
+                        acting_as("forger", netsim._forged_msg1))
+    monkeypatch.setattr(protocol.HandshakeSession, "responder_on_msg1",
+                        acting_as("responder",
+                                  protocol.HandshakeSession.responder_on_msg1))
+    for module, name in _FLOOD_CHARGES:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[party[-1], _name] += 1
+            try:
+                return _original(*args, **kwargs)
+            except Exception:
+                calls[party[-1], _name, "failed"] += 1
+                raise
+
+        for mod in (codec, crypto, usbkey, protocol, netsim):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+
+    report = run_scenario(scenario(variant=variant, handshake=False,
+                                   adversary=[Flood(count=50)]))
+    assert report.flood_sent == 50
+    assert calls["forger", "encode_message"] == 50
+    responder = {name: calls["responder", name] for _, name in _FLOOD_CHARGES}
+    if variant is Variant.BASELINE:
+        for name in ("dh_keypair", "dh_shared", "derive_skeyid", "sign"):
+            assert responder[name] == 50
+    else:
+        assert responder["open_sealed"] == 50
+        assert calls["responder", "open_sealed", "failed"] == 50
+        for name in ("dh_keypair", "dh_shared", "sign", "kdf_session"):
+            assert responder[name] == 0
 
 
 def test_gate_disabled_flood_loses_dos_protection():

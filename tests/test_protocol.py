@@ -306,6 +306,22 @@ def test_forged_msg1_costs_one_aead_open_before_the_gate(
         assert rsp.counters.messages_rejected_pre_dh == 1
 
 
+def test_replayed_msg1_is_turned_away_before_its_chain_opens(fleet, monkeypatch):
+    # the replay guard is asked before the chain open, so a replayed genuine
+    # message 1 costs the gate's key1 open and no chain key or chain open
+    ini, rsp = fleet.pair(Variant.IMPROVED)
+    wire = codec.encode_message(ini.initiator_start())
+    assert rsp.responder_on_msg1(codec.decode_message(wire)) is not None
+
+    calls: list[str] = []
+    _count_calls(monkeypatch, calls, usbkey, "device_session_decrypt")
+    again = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                          replay_guard=rsp.replay_guard, label="1")
+    assert again.responder_on_msg1(codec.decode_message(wire)) is None
+    assert again.events[-1].failure == "replay"
+    assert calls == []
+
+
 def test_replay_guard_lru_eviction():
     guard = ReplayGuard(capacity=2)
     assert not guard.seen_before(b"a")

@@ -1,0 +1,161 @@
+"""Time ``ikedev matrix`` and a ``desk64`` flood packet's parts in this
+checkout and in another tree.
+
+First both trees run ``ikedev matrix --format structured`` on seeds 1 to
+PAIRS, alternating which tree goes first, and must print equal stdout; the
+per-pair time ratio (this / other) is printed with its median.
+
+Then each tree runs the matrix battery's flood scenario, cut to PACKETS
+forged message 1s (``Flood(count=PACKETS)``, no handshake, ``desk64``, seed
+SEED), for both variants, gate on, trees alternating per pass for PASSES
+passes.  Three
+calls that the flood loop makes through a module or class attribute are
+wrapped to read the clock as they start and end: ``netsim._forged_msg1``,
+``Principal.new_session`` and ``HandshakeSession.responder_on_msg1``.  The
+clock readings split each packet into
+
+* forge     -- ``_forged_msg1``, the attacker's build and encode;
+* transmit  -- from the forge's end to the session's start: ``transmit``,
+               with its decode and its message-log entry;
+* session   -- ``Principal.new_session``;
+* responder -- from the session's end to the step's end: the responder's
+               ``responder_on_msg1``;
+* drain     -- from the step's end to the next forge: the failure trace
+               and the principal's totals.
+
+``total`` is their sum.  The figures are medians over the passes of each
+pass's median, in us; the wrappers' own cost falls into the parts equally
+in both trees.  Both trees are imported side by side with
+``tools/gate_parts.py``'s ``load``.
+
+    python3 tools/matrix_parts.py <other-src>
+
+``<other-src>`` is a directory holding an ``ikedev`` package, for example
+the ``src/`` of a checkout of the parent commit.  The last line printed is
+a JSON object of the figures.
+"""
+
+import contextlib
+import gc
+import importlib
+import io
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter, perf_counter_ns
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from gate_parts import ROOT, load  # noqa: E402
+
+PAIRS = 30
+PACKETS = 250
+PASSES = 16
+SEED = 1
+PARTS = ("forge", "transmit", "session", "responder", "drain")
+
+
+def run_matrix(ike: dict, seed: int) -> tuple[float, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = perf_counter()
+        code = ike["cli"].main(["matrix", "--format", "structured",
+                                "--seed", str(seed)])
+        seconds = perf_counter() - start
+    if code != 0:
+        sys.exit(f"error: matrix exited {code} on seed {seed}")
+    return seconds, out.getvalue()
+
+
+@contextlib.contextmanager
+def clocked(owner, attr: str, marks: list[int]):
+    """Rebind ``owner.attr`` to a wrapper that appends the clock to
+    ``marks`` as each call starts and ends."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        marks.append(perf_counter_ns())
+        try:
+            return original(*args, **kwargs)
+        finally:
+            marks.append(perf_counter_ns())
+    setattr(owner, attr, wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, attr, original)
+
+
+def flood_parts(ike: dict, variant) -> dict[str, float]:
+    """Median us per part over one flood run of PACKETS packets."""
+    netsim, protocol = ike["netsim"], ike["protocol"]
+    config = netsim.ScenarioConfig(
+        name="flood", variant=variant, seed=SEED,
+        adversary=(netsim.Flood(count=PACKETS),), handshake=False)
+    forge, session, step = [], [], []
+    with (clocked(netsim, "_forged_msg1", forge),
+          clocked(netsim.Principal, "new_session", session),
+          clocked(protocol.HandshakeSession, "responder_on_msg1", step)):
+        report = netsim.run_scenario(config)
+    if report.flood_sent != PACKETS or len(step) != 2 * PACKETS:
+        sys.exit("error: the flood did not reach the responder once a packet")
+    ns = {part: [] for part in PARTS + ("total",)}
+    for i in range(PACKETS - 1):
+        f0, f1 = forge[2 * i], forge[2 * i + 1]
+        s0, s1 = session[2 * i], session[2 * i + 1]
+        r1 = step[2 * i + 1]
+        spent = (f1 - f0, s0 - f1, s1 - s0, r1 - s1, forge[2 * i + 2] - r1)
+        for part, value in zip(PARTS, spent):
+            ns[part].append(value)
+        ns["total"].append(sum(spent))
+    return {part: statistics.median(values) / 1e3
+            for part, values in ns.items()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/matrix_parts.py <other-src>",
+              file=sys.stderr)
+        return 2
+    trees = {"this": load(ROOT / "src", "ikedev_this"),
+             "other": load(Path(argv[0]).resolve(), "ikedev_other")}
+    for ike in trees.values():
+        ike["cli"] = importlib.import_module(f"{ike['netsim'].__package__}.cli")
+
+    ratios = []
+    for seed in range(1, PAIRS + 1):
+        order = list(trees) if seed % 2 else list(trees)[::-1]
+        gc.collect()
+        runs = {label: run_matrix(trees[label], seed) for label in order}
+        if runs["this"][1] != runs["other"][1]:
+            sys.exit(f"error: the trees print different matrices on seed {seed}")
+        ratios.append(runs["this"][0] / runs["other"][0])
+    print(f"matrix time ratio this/other, {PAIRS} pairs: median "
+          f"{statistics.median(ratios):.3f} "
+          f"({' '.join(f'{r:.3f}' for r in ratios)}); stdout equal")
+
+    result = {"matrix_ratio_p50": round(statistics.median(ratios), 4)}
+    for variant in ("baseline", "improved"):
+        per_pass = {label: {part: [] for part in PARTS + ("total",)}
+                    for label in trees}
+        for i in range(PASSES):
+            for label in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+                ike = trees[label]
+                gc.collect()
+                parts = flood_parts(ike, ike["protocol"].Variant(variant))
+                for part, value in parts.items():
+                    per_pass[label][part].append(value)
+        figures = {label: {part: round(statistics.median(values), 3)
+                           for part, values in parts.items()}
+                   for label, parts in per_pass.items()}
+        print(f"{variant} flood packet, us {'this':>8} {'other':>8} {'ratio':>7}")
+        for part in PARTS + ("total",):
+            this, other = figures["this"][part], figures["other"][part]
+            print(f"{part:>24} {this:8.3f} {other:8.3f} {this / other:7.3f}")
+        result[variant] = figures
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
