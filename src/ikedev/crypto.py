@@ -275,21 +275,14 @@ def derive_skeyid(ni: bytes, nr: bytes, gxy: bytes,
     return SkeyidBundle(skeyid, skeyid_d, skeyid_a, skeyid_e)
 
 
-def compute_hash_i(skeyid: bytes, gxi: bytes, gxr: bytes, cky_i: bytes,
-                   cky_r: bytes, sa_bytes: bytes, id_bytes: bytes) -> bytes:
-    """HASH_I = prf(SKEYID, g^xi | g^xr | CKY-I | CKY-R | SAi_b | IDii_b)."""
-    return prf(skeyid, gxi + gxr + cky_i + cky_r + sa_bytes + id_bytes)
-
-
-def compute_hash_r(skeyid: bytes, gxr: bytes, gxi: bytes, cky_r: bytes,
-                   cky_i: bytes, sa_bytes: bytes, id_bytes: bytes) -> bytes:
-    """Responder-side analogue of :func:`compute_hash_i` (mirrored inputs).
-
-    ``sa_bytes`` is the SA body as transmitted in the responder's own
-    message, so any in-flight change to either message's SA payload makes
-    the two ends disagree here and surfaces at signature verification.
-    """
-    return prf(skeyid, gxr + gxi + cky_r + cky_i + sa_bytes + id_bytes)
+def compute_hash(skeyid: bytes, gx_signer: bytes, gx_peer: bytes,
+                 cky_signer: bytes, cky_peer: bytes, sa_bytes: bytes,
+                 id_bytes: bytes) -> bytes:
+    """prf(SKEYID, g^x | g^x' | CKY | CKY' | SA_b | ID_b) with the signer's
+    DH value and cookie first: HASH_I for the initiator, and HASH_R, the
+    same with the responder's values first (RFC 2409 section 5)."""
+    return prf(skeyid, gx_signer + gx_peer + cky_signer + cky_peer
+               + sa_bytes + id_bytes)
 
 
 # ---------------------------------------------------------------------------

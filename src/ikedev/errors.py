@@ -20,11 +20,13 @@ class DeviceAbsent(IkeDevError):
 
 
 class AuthFailure(IkeDevError):
-    """Authenticated decryption or signature verification failed."""
+    """A seal did not open: authenticated decryption's one FAIL outcome
+    (RFC 5116 section 2.2), whatever the cause."""
 
 
-class MalformedCiphertext(IkeDevError):
-    """Ciphertext too short to contain nonce and tag."""
+class MalformedCiphertext(AuthFailure):
+    """A seal too short to hold nonce and tag, which is a seal that does not
+    open; a handler of ``AuthFailure`` handles it too."""
 
 
 class PermissionDenied(IkeDevError):

@@ -13,8 +13,8 @@ Verdict rules (fixed, mechanical — never hand-set):
   unestablished with zero signature-verification attempts anywhere (the
   tamper was caught at a decrypt step) AND the no-knowledge observer of the
   honest run recovered no SA or KE plaintext.
-* ``cert_sig_protection``  — supported iff the no-knowledge observer of the
-  honest run recovered no CERT or SIG plaintext.
+* ``cert_sig_protection``  — supported iff the honest run established and
+  its no-knowledge observer recovered no CERT or SIG plaintext.
 * ``dos_prevention``       — supported iff a forged flood left the
   responder's ``dh_ops`` at exactly zero.
 * ``certificate_storage``  — ``device`` iff every signature in the honest
@@ -43,11 +43,11 @@ from .errors import (
     ConfigError,
     DeviceAbsent,
     IncompleteTrace,
-    MalformedCiphertext,
     SelectorMiss,
 )
 from .protocol import (
     CERT_ENCODING_SEALED,
+    ID_TYPE_FQDN,
     Counters,
     HandshakeSession,
     ReplayGuard,
@@ -356,7 +356,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
         for serial in serials_here + sorted(serials - set(serials_here)):
             try:
                 return open_one(serial)
-            except (AuthFailure, MalformedCiphertext, CodecError):
+            except (AuthFailure, CodecError):
                 continue
         return None
 
@@ -367,7 +367,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
                 continue
             try:
                 serial = device_decrypt(token, body.sealed)
-            except (AuthFailure, MalformedCiphertext):
+            except AuthFailure:
                 continue
             findings.append(Finding("DEV-SERIAL", serial))
             serials_here.append(serial)
@@ -381,7 +381,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
             plain = first_opened(
                 lambda serial, blob=plain: auth_opener(serial)(blob))
         if plain is not None:
-            findings.append(Finding(payload.type.name, plain))
+            findings.append(Finding(codec.PAYLOAD_NAMES[type(body)], plain))
 
     if msg.encrypted_chain is not None and token is not None:
         inner = first_opened(lambda serial: open_chain(
@@ -398,7 +398,8 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
 
 @dataclass
 class Principal:
-    """Key material, a replay guard and the totals of settled sessions."""
+    """Key material, a replay guard, and the totals and signer label of
+    settled sessions."""
     name: str
     role: Role
     token: SecurityToken | None
@@ -406,7 +407,7 @@ class Principal:
     replay_guard: ReplayGuard | None
     opened: int = 0
     counters: Counters = field(default_factory=Counters)
-    backends: set[str] = field(default_factory=set)
+    signature_backend: str | None = None
 
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
@@ -423,12 +424,7 @@ class Principal:
         """Add a finished session into the totals; call once per session."""
         self.counters.merge(session.counters)
         if session.signature_backend is not None:
-            self.backends.add(session.signature_backend)
-
-    def signature_backend(self) -> str | None:
-        if not self.backends:
-            return None
-        return next(iter(self.backends)) if len(self.backends) == 1 else "mixed"
+            self.signature_backend = session.signature_backend
 
 
 @dataclass
@@ -494,7 +490,7 @@ def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
         codec.SaBody(codec.DEFAULT_SA_PROPOSAL),
         codec.KeBody(rng.randbytes(group.value_size)),
         codec.NonceBody(rng.randbytes(16)),
-        codec.IdBody(2, source.encode()),
+        codec.IdBody(ID_TYPE_FQDN, source.encode()),
     ]
     if variant is Variant.BASELINE:
         msg = codec.build_message(rng.randbytes(8), bytes(8), bodies)
@@ -517,27 +513,31 @@ def _deployment(seed: int) -> DeploymentConfig:
         seed=seed)
 
 
-def build_principals(seed: int, variant: Variant,
+def _token(deployment: DeploymentConfig, name: str) -> SecurityToken:
+    """The device ``deployment`` provisions for ``name``."""
+    serial = crypto.derive_rng(
+        deployment.seed, f"device-serial|{name}").randbytes(crypto.SERIAL_LEN)
+    return create_token(serial, deployment, name)
+
+
+def build_principals(deployment: DeploymentConfig, variant: Variant,
                      configs: tuple[PrincipalConfig, ...]) -> dict[str, Principal]:
     """Provision each principal with what ``variant`` signs with.
 
-    The improved variant gets a security token (unless the config strips
-    it) and the baseline a *.p12-style file identity; neither variant is
-    given the other's key material.  Every key comes from its own
-    ``derive_rng`` label, so what is left out changes nothing else.
+    The improved variant gets a security token of ``deployment`` (unless
+    the config strips it) and the baseline a *.p12-style file identity;
+    neither variant is given the other's key material.  Every key comes
+    from its own ``derive_rng`` label of the deployment's seed, so what is
+    left out changes nothing else.
     """
-    deployment = _deployment(seed) if variant is Variant.IMPROVED else None
     principals: dict[str, Principal] = {}
     for pc in configs:
         token = file_identity = None
         if variant is Variant.BASELINE:
-            file_identity = make_file_identity(
-                pc.name,
-                crypto.derive_rng(seed, f"file-identity|{pc.name}").randbytes(32))
+            file_identity = make_file_identity(pc.name, crypto.derive_rng(
+                deployment.seed, f"file-identity|{pc.name}").randbytes(32))
         elif pc.token:
-            serial = crypto.derive_rng(
-                seed, f"device-serial|{pc.name}").randbytes(crypto.SERIAL_LEN)
-            token = create_token(serial, deployment, pc.name)
+            token = _token(deployment, pc.name)
         principals[pc.name] = Principal(
             name=pc.name, role=pc.role, token=token,
             file_identity=file_identity,
@@ -576,7 +576,8 @@ def _run(config: ScenarioConfig,
          sockets: dict[str, socket.socket] | None) -> ScenarioReport:
     seed = config.seed
     group = crypto.GROUPS[config.group]
-    principals = build_principals(seed, config.variant, config.principals)
+    deployment = _deployment(seed)
+    principals = build_principals(deployment, config.variant, config.principals)
 
     initiator = next((p for p in principals.values()
                       if p.role is Role.INITIATOR), None)
@@ -591,10 +592,7 @@ def _run(config: ScenarioConfig,
         if isinstance(action, Observe):
             obs_token, serials = None, set()
             if action.knowledge is ObserverKnowledge.HAS_KEY1_AND_TOKEN:
-                obs_token = create_token(
-                    crypto.derive_rng(seed, "device-serial|observer")
-                    .randbytes(crypto.SERIAL_LEN),
-                    _deployment(seed), "observer")
+                obs_token = _token(deployment, "observer")
             elif (action.knowledge is ObserverKnowledge.SERIAL
                   and responder.token is not None):
                 serials = {responder.token.serial}
@@ -743,7 +741,7 @@ def _run(config: ScenarioConfig,
         flood_sent=flood_sent,
         principal_counters={name: p.counters.to_dict()
                             for name, p in sorted(principals.items())},
-        sign_backends={name: p.signature_backend()
+        sign_backends={name: p.signature_backend
                        for name, p in sorted(principals.items())},
         observer_findings=[{"knowledge": obs.knowledge.value, **finding}
                            for obs in observers for finding in obs.findings],
@@ -802,9 +800,8 @@ def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
         "sa_ke_protection": (
             SUPPORTED if tamper_caught_early and observer_blind_sa_ke
             else NOT_SUPPORTED),
-        "cert_sig_protection": (
-            NOT_SUPPORTED if _findings_with(honest, ("CERT", "SIG"))
-            else SUPPORTED),
+        "cert_sig_protection": honest.verdicts.get("cert_sig_protection",
+                                                   NOT_SUPPORTED),
         "dos_prevention": flood.verdicts.get("dos_prevention", NOT_SUPPORTED),
         "certificate_storage": honest.verdicts.get("certificate_storage",
                                                    "file"),

@@ -47,13 +47,7 @@ from .codec import (
     SaBody,
     SigBody,
 )
-from .errors import (
-    AuthFailure,
-    CodecError,
-    DeviceAbsent,
-    MalformedCiphertext,
-    WeakPublicValue,
-)
+from .errors import AuthFailure, CodecError, DeviceAbsent, WeakPublicValue
 from .usbkey import (
     Certificate,
     FileIdentity,
@@ -161,8 +155,8 @@ def open_chain(token: SecurityToken | None, serial: bytes,
     """The SA/KE/nonce/ID chain that device ``serial`` sealed under
     kdf_session(key1, serial), opened with ``token``'s key1 and parsed.
 
-    Raises AuthFailure or MalformedCiphertext when the seal does not open
-    and CodecError when what it held does not parse.
+    Raises AuthFailure when the seal does not open, too short to hold a
+    nonce and tag included, and CodecError when what it held does not parse.
     """
     return codec.parse_payload_chain(
         device_session_decrypt(token, serial, blob))
@@ -170,8 +164,8 @@ def open_chain(token: SecurityToken | None, serial: bytes,
 
 def auth_opener(serial: bytes) -> Callable[[bytes], bytes]:
     """Opens the CERT and SIG bodies that device ``serial`` sealed under
-    kdf_serial(serial), deriving that key once; a bad seal raises
-    AuthFailure or MalformedCiphertext."""
+    kdf_serial(serial), deriving that key once; a seal that does not open,
+    too short included, raises AuthFailure."""
     key = crypto.kdf_serial(serial)
     return lambda blob: crypto.open_sealed(crypto.AES256GCM, key, blob)
 
@@ -235,6 +229,11 @@ class HandshakeSession:
         if pre_dh:
             self.counters.messages_rejected_pre_dh += 1
         self._record(op, failure=reason)
+
+    def _keypair(self) -> None:
+        """A fresh DH exponent and own public value: one counted DH episode."""
+        self.counters.dh_ops += 1
+        self._exponent, self.own_public = crypto.dh_keypair(self.group, self.rng)
 
     def _require_token(self, op: str) -> None:
         if self.token is None and self.variant is Variant.IMPROVED:
@@ -300,7 +299,7 @@ class HandshakeSession:
             return "no-dev"
         try:
             serial = device_decrypt(self.token, dev.sealed)
-        except (AuthFailure, MalformedCiphertext):
+        except AuthFailure:
             self.counters.decrypt_failures += 1
             return "bad-dev"
         if len(serial) != crypto.SERIAL_LEN:
@@ -312,7 +311,7 @@ class HandshakeSession:
             return "replay"
         try:
             payloads = open_chain(self.token, serial, msg.encrypted_chain)
-        except (AuthFailure, MalformedCiphertext):
+        except AuthFailure:
             self.counters.decrypt_failures += 1
             return "bad-chain"
         except CodecError:
@@ -335,7 +334,7 @@ class HandshakeSession:
                                (signature, "sig-decrypt")):
                 try:
                     opened.append(unseal(blob))
-                except (AuthFailure, MalformedCiphertext):
+                except AuthFailure:
                     self.counters.decrypt_failures += 1
                     return step
             cert_encoded, signature = opened
@@ -361,8 +360,7 @@ class HandshakeSession:
 
         self.cky_i = self.rng.randbytes(COOKIE_LEN)
         self.cky_r = bytes(COOKIE_LEN)
-        self.counters.dh_ops += 1
-        self._exponent, self.own_public = crypto.dh_keypair(self.group, self.rng)
+        self._keypair()
         self.own_nonce = self.rng.randbytes(NONCE_LEN)
         self._sa_offer = codec.DEFAULT_SA_PROPOSAL
         self._id_i = IdBody(ID_TYPE_FQDN, self.name.encode())
@@ -383,9 +381,7 @@ class HandshakeSession:
         if self.disable_dos_gate and self.variant is Variant.IMPROVED:
             # Regression mode: pay for the DH keypair before the gate, the
             # way the baseline does.
-            self.counters.dh_ops += 1
-            self._exponent, self.own_public = crypto.dh_keypair(self.group,
-                                                                self.rng)
+            self._keypair()
         payloads = self._open_ladder(msg)
         if isinstance(payloads, str):
             self._reject(op, payloads, pre_dh=not self.disable_dos_gate)
@@ -398,9 +394,7 @@ class HandshakeSession:
         sa, ke, nonce, peer_id = ladder
 
         if not self._exponent:
-            self.counters.dh_ops += 1
-            self._exponent, self.own_public = crypto.dh_keypair(self.group,
-                                                                self.rng)
+            self._keypair()
         try:
             shared = crypto.dh_shared(self.group, self._exponent,
                                       ke.public_value)
@@ -418,10 +412,9 @@ class HandshakeSession:
         self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
                                            shared, self.cky_i, self.cky_r)
 
-        hash_r = crypto.compute_hash_r(self.skeyid.skeyid, self.own_public,
-                                       self.peer_public, self.cky_r,
-                                       self.cky_i, sa.proposal,
-                                       codec.encode_body(self._id_r))
+        hash_r = crypto.compute_hash(self.skeyid.skeyid, self.own_public,
+                                     self.peer_public, self.cky_r, self.cky_i,
+                                     sa.proposal, codec.encode_body(self._id_r))
         reply = self._ladder_message(sa, self._id_r, self._auth_bodies(hash_r))
         self.state = SessionState.SENT2
         self._record(op, emitted="msg2")
@@ -472,19 +465,18 @@ class HandshakeSession:
             return None
         skeyid = crypto.derive_skeyid(self.own_nonce, self.peer_nonce, shared,
                                       self.cky_i, self.cky_r)
-        hash_r = crypto.compute_hash_r(skeyid.skeyid, self.peer_public,
-                                       self.own_public, self.cky_r, self.cky_i,
-                                       sa.proposal, codec.encode_body(self._id_r))
+        hash_r = crypto.compute_hash(skeyid.skeyid, self.peer_public,
+                                     self.own_public, self.cky_r, self.cky_i,
+                                     sa.proposal, codec.encode_body(self._id_r))
         self.counters.sig_verifies += 1
         if not crypto.verify(cert.public_key, hash_r, signature):
             self._fail(op, "sig-verify")
             return None
         self.skeyid = skeyid
 
-        hash_i = crypto.compute_hash_i(skeyid.skeyid, self.own_public,
-                                       self.peer_public, self.cky_i,
-                                       self.cky_r, self._sa_offer,
-                                       codec.encode_body(self._id_i))
+        hash_i = crypto.compute_hash(skeyid.skeyid, self.own_public,
+                                     self.peer_public, self.cky_i, self.cky_r,
+                                     self._sa_offer, codec.encode_body(self._id_i))
         flags = codec.FLAG_ENCRYPTION if self.variant is Variant.IMPROVED else 0
         reply = codec.build_message(self.cky_i, self.cky_r,
                                     self._auth_bodies(hash_i), flags=flags)
@@ -509,9 +501,9 @@ class HandshakeSession:
             return False
         cert, signature = auth
 
-        hash_i = crypto.compute_hash_i(self.skeyid.skeyid, self.peer_public,
-                                       self.own_public, self.cky_i, self.cky_r,
-                                       self._sa_offer, codec.encode_body(self._id_i))
+        hash_i = crypto.compute_hash(self.skeyid.skeyid, self.peer_public,
+                                     self.own_public, self.cky_i, self.cky_r,
+                                     self._sa_offer, codec.encode_body(self._id_i))
         self.counters.sig_verifies += 1
         if not crypto.verify(cert.public_key, hash_i, signature):
             self._fail(op, "sig-verify")

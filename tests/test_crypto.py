@@ -287,23 +287,28 @@ def test_skeyid_golden():
 
 
 def test_hash_i_and_hash_r_bind_inputs():
-    # The two authenticator hashes differ by argument order at the call
-    # site (initiator puts its own public value and cookie first), so the
-    # same session must yield different HASH_I and HASH_R values.
+    # HASH_I and HASH_R are one formula with the signer's values first, so
+    # the same session must yield different HASH_I and HASH_R values.  The
+    # known answers were recorded from the separate HASH_I and HASH_R
+    # functions that this one formula replaced.
     skeyid = b"\xaa" * 32
     gxi, gxr, cky_i, cky_r = b"\x01" * 8, b"\x02" * 8, b"I" * 8, b"R" * 8
-    hi = crypto.compute_hash_i(skeyid, gxi, gxr, cky_i, cky_r, b"sa", b"idi")
-    hr = crypto.compute_hash_r(skeyid, gxr, gxi, cky_r, cky_i, b"sa", b"idr")
+    hi = crypto.compute_hash(skeyid, gxi, gxr, cky_i, cky_r, b"sa", b"idi")
+    hr = crypto.compute_hash(skeyid, gxr, gxi, cky_r, cky_i, b"sa", b"idr")
+    assert hi.hex() == (
+        "a975458cc2c7d9688c0244024c2adba28390a3bdccef548a215513b7bddb6ac5")
+    assert hr.hex() == (
+        "346111f8f93f14b4a2f076841369c915fa46f8b9adb69306e221fddc9ade86bb")
     assert hi != hr
     # every input perturbs the output
-    assert hi != crypto.compute_hash_i(skeyid, gxi, gxr, cky_i, cky_r,
-                                       b"sa'", b"idi")
-    assert hi != crypto.compute_hash_i(skeyid, gxi, gxr, cky_i, cky_r,
-                                       b"sa", b"idx")
-    assert hi != crypto.compute_hash_i(skeyid, gxr, gxi, cky_i, cky_r,
-                                       b"sa", b"idi")
-    assert hi != crypto.compute_hash_i(b"\xab" * 32, gxi, gxr, cky_i, cky_r,
-                                       b"sa", b"idi")
+    assert hi != crypto.compute_hash(skeyid, gxi, gxr, cky_i, cky_r,
+                                     b"sa'", b"idi")
+    assert hi != crypto.compute_hash(skeyid, gxi, gxr, cky_i, cky_r,
+                                     b"sa", b"idx")
+    assert hi != crypto.compute_hash(skeyid, gxr, gxi, cky_i, cky_r,
+                                     b"sa", b"idi")
+    assert hi != crypto.compute_hash(b"\xab" * 32, gxi, gxr, cky_i, cky_r,
+                                     b"sa", b"idi")
 
 
 # --- serial-derived keys ---------------------------------------------------

@@ -188,10 +188,11 @@ def test_honest_run_provisions_only_what_the_variant_signs_with(
 def test_tokenless_principal_gets_no_token_in_either_variant():
     configs = (PrincipalConfig("alice", Role.INITIATOR, token=False),
                PrincipalConfig("bob", Role.RESPONDER))
-    improved = netsim.build_principals(3, Variant.IMPROVED, configs)
+    deployment = netsim._deployment(3)
+    improved = netsim.build_principals(deployment, Variant.IMPROVED, configs)
     assert improved["alice"].token is None
     assert improved["bob"].token is not None
-    baseline = netsim.build_principals(3, Variant.BASELINE, configs)
+    baseline = netsim.build_principals(deployment, Variant.BASELINE, configs)
     assert all(p.token is None and p.file_identity is not None
                for p in baseline.values())
 
@@ -828,6 +829,22 @@ def test_verdicts_from_trace_requires_full_battery():
     with pytest.raises(IncompleteTrace) as exc:
         verdicts_from_trace(reports)
     assert "tamper-sa" in str(exc.value)
+
+
+def test_cert_sig_protection_needs_an_established_honest_run():
+    # a blind observer that reads no CERT or SIG shows nothing when none
+    # was exchanged, so an honest run that never establishes cannot support
+    # the cell
+    reports = []
+    for cfg in battery_configs(Variant.IMPROVED, seed=1):
+        if cfg.name == "honest":
+            cfg = dataclasses.replace(cfg, principals=(
+                PrincipalConfig("alice", Role.INITIATOR, token=False),
+                PrincipalConfig("bob", Role.RESPONDER)))
+        reports.append(run_scenario(cfg))
+    assert reports[0].established is False
+    assert (verdicts_from_trace(reports)["cert_sig_protection"]
+            == netsim.NOT_SUPPORTED)
 
 
 @pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])

@@ -268,6 +268,26 @@ def test_tampered_copy_of_msg1_does_not_spend_its_dev_nonce(fleet):
     assert genuine.counters.dh_ops == 1
 
 
+def test_chain_too_short_for_nonce_and_tag_fails_as_bad_chain(fleet):
+    # a 31-byte chain, one short of nonce plus tag, is a seal that does not
+    # open: the responder and an observer with key1 treat it as one
+    ini, rsp = fleet.pair(Variant.IMPROVED)
+    genuine = ini.initiator_start()
+    short = codec.decode_message(codec.encode_message(codec.build_message(
+        genuine.initiator_cookie, bytes(8), [genuine.first(DevBody)],
+        flags=codec.FLAG_ENCRYPTION,
+        encrypted_chain=genuine.encrypted_chain[:31])))
+    assert len(short.encrypted_chain) == 31
+    assert rsp.responder_on_msg1(short) is None
+    assert rsp.events[-1].failure == "bad-chain"
+    assert rsp.counters.decrypt_failures == 1
+    assert rsp.counters.dh_ops == 0
+    assert len(rsp.replay_guard) == 0
+
+    findings = netsim.observe(short, fleet.tokens["carol"], set())
+    assert [f.payload for f in findings] == ["DEV-SERIAL"]
+
+
 def _count_calls(monkeypatch, calls: list[str], module, name: str) -> None:
     """Record each call of ``module.name``, under every name ikedev binds
     it to, in ``calls``."""

@@ -1,0 +1,52 @@
+"""The timing tools in ``tools/`` run against this tree.
+
+``tools/gate_parts.py`` and ``tools/matrix_parts.py`` reach private names of
+ikedev (``build_principals``, ``_deployment``, ``_forged_msg1``,
+``Principal.new_session``, ``HandshakeSession._record``), so a change to one
+of them would break a tool that no other test runs.  These checks load this
+tree the way the tools do and run a few packets through each, with the
+tools' packet counts cut down.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PACKAGE = "ikedev_tools_smoke"
+
+
+@pytest.fixture
+def tools(monkeypatch):
+    """``gate_parts``, ``matrix_parts`` and this tree loaded through
+    ``gate_parts.load``, with its package taken out of ``sys.modules``
+    afterwards."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    gate_parts = importlib.import_module("gate_parts")
+    matrix_parts = importlib.import_module("matrix_parts")
+    ike = gate_parts.load(gate_parts.ROOT / "src", PACKAGE)
+    yield gate_parts, matrix_parts, ike
+    for name in [n for n in sys.modules if n.split(".")[0] == PACKAGE]:
+        del sys.modules[name]
+
+
+def test_gate_parts_times_each_part_of_a_gated_reject(tools, monkeypatch):
+    gate_parts, _, ike = tools
+    monkeypatch.setattr(gate_parts, "PACKETS", 3)
+    tree = gate_parts.Tree("this", ike)
+    ns = {part: [] for part in gate_parts.PARTS}
+    for wire in tree.packets:
+        tree.step(wire, ns)   # exits if the responder answers or pays DH
+    assert {part: len(spent) for part, spent in ns.items()} == {
+        part: 3 for part in gate_parts.PARTS}
+
+
+def test_matrix_parts_splits_a_flood_packet_in_each_variant(tools, monkeypatch):
+    _, matrix_parts, ike = tools
+    monkeypatch.setattr(matrix_parts, "PACKETS", 4)
+    for variant in ike["protocol"].Variant:
+        parts = matrix_parts.flood_parts(ike, variant)
+        assert set(parts) == {*matrix_parts.PARTS, "total"}
+        assert all(us >= 0 for us in parts.values())

@@ -66,7 +66,8 @@ class Tree:
         crypto, netsim, protocol = ike["crypto"], ike["netsim"], ike["protocol"]
         self.group = crypto.MODP2048_GROUP
         principals = netsim.build_principals(
-            SEED, protocol.Variant.IMPROVED, netsim.ScenarioConfig().principals)
+            netsim._deployment(SEED), protocol.Variant.IMPROVED,
+            netsim.ScenarioConfig().principals)
         self.bob = principals["bob"]
         attacker = random.Random(f"gate-parts|{SEED}")
         self.packets = [netsim._forged_msg1(protocol.Variant.IMPROVED, attacker,
