@@ -7,6 +7,9 @@ the chain.  The blob carries a whole payload chain sealed as one AEAD unit;
 payloads that must stay readable (the device payload, or payloads whose
 bodies are individually sealed) live in the clear chain before it.
 
+A chain is its bodies, each payload's type read off its body's class; the
+DEV body holds its sealed bytes once, nonce first.
+
 The parser is total: any byte string yields either a message or one of the
 named codec errors, never an uncontrolled exception.
 """
@@ -110,38 +113,25 @@ class SigBody:
 
 @dataclass(frozen=True, slots=True)
 class DevBody:
-    """Device-information payload body: sealed 7-byte serial record."""
-    nonce: bytes
-    ciphertext: bytes
+    """Device-information payload body: the sealed 7-byte serial record,
+    a crypto.seal() output (nonce || ciphertext || tag) held once."""
+    sealed: bytes
 
     def __post_init__(self):
-        if len(self.nonce) != DEV_NONCE_LEN:
-            raise ValueError(f"DEV nonce must be {DEV_NONCE_LEN} bytes")
-        if len(self.ciphertext) < DEV_TAG_LEN:
-            raise ValueError("DEV ciphertext shorter than an AEAD tag")
+        if len(self.sealed) < DEV_NONCE_LEN + DEV_TAG_LEN:
+            raise ValueError("DEV body shorter than an AEAD nonce and tag")
 
     @classmethod
     def from_sealed(cls, blob: bytes) -> "DevBody":
-        """Wrap a crypto.seal() output (nonce || ciphertext)."""
-        return cls(nonce=blob[:DEV_NONCE_LEN], ciphertext=blob[DEV_NONCE_LEN:])
+        """The same as ``DevBody(blob)``; perfbench/workloads.py calls it."""
+        return cls(blob)
 
     @property
-    def sealed(self) -> bytes:
-        return self.nonce + self.ciphertext
+    def nonce(self) -> bytes:
+        return self.sealed[:DEV_NONCE_LEN]
 
 
 Body = SaBody | KeBody | NonceBody | IdBody | CertBody | SigBody | DevBody
-
-
-@dataclass(frozen=True, slots=True)
-class IsakmpPayload:
-    """One payload; its generic header's link is the successor's type."""
-
-    body: Body
-
-    @property
-    def type(self) -> PayloadType:
-        return _BODY_CODECS[type(self.body)][0]
 
 
 @dataclass(slots=True)
@@ -154,7 +144,7 @@ class IsakmpMessage:
     exchange_type: int = EXCHANGE_AGGRESSIVE
     flags: int = 0
     message_id: int = 0
-    payloads: list[IsakmpPayload] = field(default_factory=list)
+    payloads: list[Body] = field(default_factory=list)
     encrypted_chain: bytes | None = None
 
     @property
@@ -163,9 +153,9 @@ class IsakmpMessage:
 
     def first(self, cls: type[Body]) -> Body | None:
         """The first clear payload body of class ``cls``, or None."""
-        for payload in self.payloads:
-            if type(payload.body) is cls:
-                return payload.body
+        for body in self.payloads:
+            if type(body) is cls:
+                return body
         return None
 
 
@@ -182,8 +172,8 @@ _BODY_CODECS = {
     CertBody: (PayloadType.CERT,
                lambda body: bytes([body.encoding]) + body.certificate),
     SigBody: (PayloadType.SIG, attrgetter("signature")),
-    DevBody: (PayloadType.DEV, lambda body: bytes([DEV_FORMAT_VERSION])
-              + body.nonce + body.ciphertext),
+    DevBody: (PayloadType.DEV,
+              lambda body: bytes([DEV_FORMAT_VERSION]) + body.sealed),
 }
 
 # The payload name of each body class, as the message log spells it.
@@ -206,8 +196,7 @@ _BODY_PARSERS = {
     PayloadType.ID: lambda data: IdBody(data[0], data[1:]),
     PayloadType.CERT: lambda data: CertBody(data[0], data[1:]),
     PayloadType.SIG: SigBody,
-    PayloadType.DEV: lambda data: DevBody(data[1:1 + DEV_NONCE_LEN],
-                                          data[1 + DEV_NONCE_LEN:]),
+    PayloadType.DEV: lambda data: DevBody(data[1:]),
 }
 
 
@@ -215,22 +204,22 @@ _BODY_PARSERS = {
 # Chain encode / parse
 # ---------------------------------------------------------------------------
 
-def _encode_chain(payloads: list[IsakmpPayload]) -> tuple[int, bytes]:
-    """The first payload's type and the chain, whose generic headers each
-    link to the type of the payload after it."""
-    codes = [_BODY_CODECS[type(payload.body)][0] for payload in payloads]
+def _encode_chain(bodies: list[Body]) -> tuple[int, bytes]:
+    """The first body's type and the chain, whose generic headers each
+    link to the type of the body after it."""
+    codes = [_BODY_CODECS[type(body)][0] for body in bodies]
     out = b""
-    for payload, link in zip(payloads, codes[1:] + [0]):
-        body = encode_body(payload.body)
-        out += _GENERIC_HEADER.pack(link, 0, GENERIC_HEADER_LEN + len(body))
-        out += body
+    for body, link in zip(bodies, codes[1:] + [0]):
+        data = encode_body(body)
+        out += _GENERIC_HEADER.pack(link, 0, GENERIC_HEADER_LEN + len(data))
+        out += data
     return (codes[0] if codes else 0), out
 
 
 def _parse_chain(data: bytes, offset: int, first_type: int,
-                 link_offset: int) -> tuple[list[IsakmpPayload], int]:
-    """Parse payloads until a 0 link; returns (payloads, end offset)."""
-    payloads = []
+                 link_offset: int) -> tuple[list[Body], int]:
+    """Parse payloads until a 0 link; returns (bodies, end offset)."""
+    bodies = []
     code = first_type
     size = len(data)
     while code:
@@ -255,11 +244,11 @@ def _parse_chain(data: bytes, offset: int, first_type: int,
                             start) from None
         if type(body) is DevBody and data[start] != DEV_FORMAT_VERSION:
             raise BadVersion(f"DEV format version {data[start]}", start)
-        payloads.append(IsakmpPayload(body))
+        bodies.append(body)
         link_offset = offset
         offset += plen
         code = next_payload
-    return payloads, offset
+    return bodies, offset
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +291,10 @@ def decode_message(data: bytes) -> IsakmpMessage:
                          payloads, encrypted_chain)
 
 
-def link_payloads(bodies: list[Body]) -> list[IsakmpPayload]:
-    """Wrap bodies into a payload chain."""
-    return list(map(IsakmpPayload, bodies))
+def link_payloads(bodies: list[Body]) -> list[Body]:
+    """A copy of ``bodies``: a chain is its bodies.  Kept only because
+    perfbench/workloads.py calls it."""
+    return list(bodies)
 
 
 def build_message(initiator_cookie: bytes, responder_cookie: bytes,
@@ -315,26 +305,26 @@ def build_message(initiator_cookie: bytes, responder_cookie: bytes,
         raise ChainMismatch("encrypted chain present without encryption flag")
     return IsakmpMessage(initiator_cookie, responder_cookie,
                          EXCHANGE_AGGRESSIVE, flags, message_id,
-                         link_payloads(bodies), encrypted_chain)
+                         list(bodies), encrypted_chain)
 
 
 # ---------------------------------------------------------------------------
 # Encrypted payload chains
 # ---------------------------------------------------------------------------
 
-def serialize_payload_chain(payloads: list[IsakmpPayload]) -> bytes:
+def serialize_payload_chain(bodies: list[Body]) -> bytes:
     """Self-describing chain plaintext: leading type byte, then the chain."""
-    first, chain = _encode_chain(payloads)
+    first, chain = _encode_chain(bodies)
     return bytes([first]) + chain
 
 
-def parse_payload_chain(data: bytes) -> list[IsakmpPayload]:
+def parse_payload_chain(data: bytes) -> list[Body]:
     if not data:
         raise Truncated("empty chain plaintext", 0)
-    payloads, end = _parse_chain(data, 1, data[0], 0)
+    bodies, end = _parse_chain(data, 1, data[0], 0)
     if end != len(data):
         raise BadLength(f"{len(data) - end} trailing bytes after chain", end)
-    return payloads
+    return bodies
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +343,10 @@ def payload_byte_ranges(data: bytes) -> list[PayloadRange]:
     msg = decode_message(data)
     ranges = []
     offset = HEADER_LEN
-    for payload in msg.payloads:
-        body_len = len(encode_body(payload.body))
-        ranges.append(PayloadRange(payload.type, offset + GENERIC_HEADER_LEN,
+    for body in msg.payloads:
+        ptype, encode = _BODY_CODECS[type(body)]
+        body_len = len(encode(body))
+        ranges.append(PayloadRange(ptype, offset + GENERIC_HEADER_LEN,
                                    offset + GENERIC_HEADER_LEN + body_len))
         offset += GENERIC_HEADER_LEN + body_len
     return ranges

@@ -9,10 +9,11 @@ pair reproduces the identical :class:`ScenarioReport`, byte for byte.
 
 Verdict rules (fixed, mechanical — never hand-set):
 
-* ``sa_ke_protection``     — supported iff both tamper scenarios end
-  unestablished with zero signature-verification attempts anywhere (the
-  tamper was caught at a decrypt step) AND the no-knowledge observer of the
-  honest run recovered no SA or KE plaintext.
+* ``sa_ke_protection``     — supported iff both tamper scenarios delivered
+  a tampered datagram and end unestablished with zero
+  signature-verification attempts anywhere (the tamper was caught at a
+  decrypt step) AND the honest run established and its no-knowledge
+  observer recovered no SA or KE plaintext.
 * ``cert_sig_protection``  — supported iff the honest run established and
   its no-knowledge observer recovered no CERT or SIG plaintext.
 * ``dos_prevention``       — supported iff a forged flood left the
@@ -360,8 +361,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
                 continue
         return None
 
-    for payload in msg.payloads:
-        body = payload.body
+    for body in msg.payloads:
         if isinstance(body, DevBody):
             if token is None:
                 continue
@@ -386,9 +386,8 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
     if msg.encrypted_chain is not None and token is not None:
         inner = first_opened(lambda serial: open_chain(
             token, serial, msg.encrypted_chain)) or []
-        findings.extend(Finding(codec.PAYLOAD_NAMES[type(payload.body)],
-                                _body_plaintext(payload.body))
-                        for payload in inner)
+        findings.extend(Finding(codec.PAYLOAD_NAMES[type(body)],
+                                _body_plaintext(body)) for body in inner)
     return findings
 
 
@@ -498,10 +497,8 @@ def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
         sealed = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
                              rng.randbytes(crypto.SERIAL_LEN))
         blob = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                           codec.serialize_payload_chain(
-                               codec.link_payloads(bodies)))
-        msg = codec.build_message(rng.randbytes(8), bytes(8),
-                                  [DevBody.from_sealed(sealed)],
+                           codec.serialize_payload_chain(bodies))
+        msg = codec.build_message(rng.randbytes(8), bytes(8), [DevBody(sealed)],
                                   flags=codec.FLAG_ENCRYPTION,
                                   encrypted_chain=blob)
     return codec.encode_message(msg)
@@ -647,8 +644,8 @@ def _run(config: ScenarioConfig,
                     "principal": dst, "op": "decode",
                     "failure": f"codec:{type(exc).__name__}"})
         if decoded is not None:
-            payload_names = [codec.PAYLOAD_NAMES[type(p.body)]
-                             for p in decoded.payloads]
+            payload_names = [codec.PAYLOAD_NAMES[type(body)]
+                             for body in decoded.payloads]
             blob_bytes = len(decoded.encrypted_chain or b"")
             for obs in observers:
                 for finding in observe(decoded, obs.token, obs.serials):
@@ -793,8 +790,11 @@ def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
 
     tamper_caught_early = all(
         report.established is False and report.total_sig_verifies() == 0
+        and any(entry["tampered"] and entry["delivered"]
+                for entry in report.message_log)
         for report in tampers)
-    observer_blind_sa_ke = not _findings_with(honest, ("SA", "KE"))
+    observer_blind_sa_ke = (honest.established
+                            and not _findings_with(honest, ("SA", "KE")))
 
     return {
         "sa_ke_protection": (

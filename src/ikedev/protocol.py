@@ -151,7 +151,7 @@ class ReplayGuard:
 # -- the openers that peers and observers share ------------------------------
 
 def open_chain(token: SecurityToken | None, serial: bytes,
-               blob: bytes) -> list[codec.IsakmpPayload]:
+               blob: bytes) -> list[Body]:
     """The SA/KE/nonce/ID chain that device ``serial`` sealed under
     kdf_session(key1, serial), opened with ``token``'s key1 and parsed.
 
@@ -170,9 +170,9 @@ def auth_opener(serial: bytes) -> Callable[[bytes], bytes]:
     return lambda blob: crypto.open_sealed(crypto.AES256GCM, key, blob)
 
 
-def _ladder_bodies(payloads) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
+def _ladder_bodies(bodies) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
     """The first SA, KE, nonce and ID bodies, or None if one is missing."""
-    found = {type(payload.body): payload.body for payload in reversed(payloads)}
+    found = {type(body): body for body in reversed(bodies)}
     try:
         return found[SaBody], found[KeBody], found[NonceBody], found[IdBody]
     except KeyError:
@@ -251,10 +251,9 @@ class HandshakeSession:
         bodies = [sa, KeBody(self.own_public), NonceBody(self.own_nonce), own_id]
         if self.variant is Variant.BASELINE:
             return codec.build_message(self.cky_i, self.cky_r, bodies + auth)
-        dev = DevBody.from_sealed(device_encrypt(self.token, self.token.serial))
+        dev = DevBody(device_encrypt(self.token, self.token.serial))
         blob = device_session_encrypt(
-            self.token, self.token.serial,
-            codec.serialize_payload_chain(codec.link_payloads(bodies)))
+            self.token, self.token.serial, codec.serialize_payload_chain(bodies))
         return codec.build_message(self.cky_i, self.cky_r, [dev] + auth,
                                    flags=codec.FLAG_ENCRYPTION,
                                    encrypted_chain=blob)
@@ -282,7 +281,7 @@ class HandshakeSession:
                                 signature)),
         ]
 
-    def _open_ladder(self, msg: IsakmpMessage) -> list[codec.IsakmpPayload] | str:
+    def _open_ladder(self, msg: IsakmpMessage) -> list[Body] | str:
         """The peer's SA/KE/nonce/ID payloads, or why they cannot be had.
 
         The improved variant authenticates DEV under key1, turns away a DEV
@@ -310,7 +309,7 @@ class HandshakeSession:
         if guard is not None and guard.recall(dev.nonce):
             return "replay"
         try:
-            payloads = open_chain(self.token, serial, msg.encrypted_chain)
+            bodies = open_chain(self.token, serial, msg.encrypted_chain)
         except AuthFailure:
             self.counters.decrypt_failures += 1
             return "bad-chain"
@@ -319,7 +318,7 @@ class HandshakeSession:
         if guard is not None:
             guard.seen_before(dev.nonce)
         self.peer_serial = serial
-        return payloads
+        return bodies
 
     def _open_peer_auth(self, cert_body: CertBody, sig_body: SigBody,
                         peer_id: IdBody) -> tuple[Certificate, bytes] | str:
@@ -382,11 +381,11 @@ class HandshakeSession:
             # Regression mode: pay for the DH keypair before the gate, the
             # way the baseline does.
             self._keypair()
-        payloads = self._open_ladder(msg)
-        if isinstance(payloads, str):
-            self._reject(op, payloads, pre_dh=not self.disable_dos_gate)
+        bodies = self._open_ladder(msg)
+        if isinstance(bodies, str):
+            self._reject(op, bodies, pre_dh=not self.disable_dos_gate)
             return None
-        ladder = _ladder_bodies(payloads)
+        ladder = _ladder_bodies(bodies)
         if ladder is None:
             self._reject(op, "malformed",
                          pre_dh=self.counters.dh_ops == 0)
@@ -427,12 +426,12 @@ class HandshakeSession:
             return None
         self.cky_r = msg.responder_cookie
 
-        payloads = self._open_ladder(msg)
-        if isinstance(payloads, str):
-            self._fail(op, "umr" if payloads in ("no-dev", "bad-dev")
+        bodies = self._open_ladder(msg)
+        if isinstance(bodies, str):
+            self._fail(op, "umr" if bodies in ("no-dev", "bad-dev")
                        else "chain")
             return None
-        ladder = _ladder_bodies(payloads)
+        ladder = _ladder_bodies(bodies)
         if ladder is None:
             self._fail(op, "malformed")
             return None

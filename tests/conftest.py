@@ -8,6 +8,12 @@ from ikedev.protocol import HandshakeSession, ReplayGuard, Role, Variant
 from ikedev.usbkey import DeploymentConfig, create_token, make_file_identity
 
 
+def payload_types(bodies) -> list[codec.PayloadType]:
+    """The payload type of each body, as the generic headers link them."""
+    return [codec.PayloadType[codec.PAYLOAD_NAMES[type(body)]]
+            for body in bodies]
+
+
 class Fleet:
     """One deployment with provisioned principals, for driving handshakes."""
 

@@ -7,6 +7,7 @@ check.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -63,3 +64,14 @@ def test_one_operation_of_each_workload_passes_its_check(name, index):
     workload = _load("workloads").WORKLOADS[name](IKE, 1)
     sample = workload.step(index, None, False)
     assert sample.ok, sample.kind
+
+
+@pytest.mark.parametrize("variant", list(protocol.Variant))
+def test_flood_workload_forges_netsims_flood_packet(variant):
+    # the modp2048 flood forges message 1 through codec.link_payloads and
+    # DevBody.from_sealed; it must build netsim's flood packet byte for byte
+    workload = _load("workloads").FloodModp2048(IKE, 1)
+    for seed in range(5):
+        assert workload._forge(variant, random.Random(seed)) == (
+            netsim._forged_msg1(variant, random.Random(seed),
+                                crypto.MODP2048_GROUP, "attacker"))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import payload_types
 from ikedev import codec, crypto
 from ikedev.codec import (
     CertBody,
@@ -66,10 +67,10 @@ def test_golden_vector_decodes_to_expected_structure():
     assert msg.initiator_cookie == b"INITCOOK"
     assert msg.exchange_type == codec.EXCHANGE_AGGRESSIVE
     assert not msg.encrypted
-    assert [p.type for p in msg.payloads] == [
+    assert payload_types(msg.payloads) == [
         PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID]
-    assert msg.payloads[0].body.proposal == codec.DEFAULT_SA_PROPOSAL
-    assert msg.payloads[3].body.identity == b"alice"
+    assert msg.payloads[0].proposal == codec.DEFAULT_SA_PROPOSAL
+    assert msg.payloads[3].identity == b"alice"
     assert msg.encrypted_chain is None
 
 
@@ -86,9 +87,7 @@ def body_strategy():
         st.tuples(st.integers(0, 255), st.binary(max_size=64)).map(
             lambda t: CertBody(*t)),
         blob.map(SigBody),
-        st.tuples(st.binary(min_size=16, max_size=16),
-                  st.binary(min_size=16, max_size=48)).map(
-            lambda t: DevBody(nonce=t[0], ciphertext=t[1])),
+        st.binary(min_size=32, max_size=64).map(DevBody),
     )
 
 
@@ -118,9 +117,8 @@ def test_encode_decode_identity(msg):
 @settings(max_examples=100)
 @given(st.lists(body_strategy(), min_size=1, max_size=8))
 def test_payload_chain_round_trip(bodies):
-    payloads = codec.link_payloads(bodies)
-    plain = codec.serialize_payload_chain(payloads)
-    assert codec.parse_payload_chain(plain) == payloads
+    plain = codec.serialize_payload_chain(bodies)
+    assert codec.parse_payload_chain(plain) == bodies
 
 
 # --- named decode errors, with offsets ---------------------------------------
@@ -204,7 +202,7 @@ def test_truncated_mid_payload():
 def test_parse_payload_chain_rejects_empty_and_trailing():
     with pytest.raises(Truncated):
         codec.parse_payload_chain(b"")
-    chain = codec.serialize_payload_chain(codec.link_payloads([SaBody(b"x")]))
+    chain = codec.serialize_payload_chain([SaBody(b"x")])
     with pytest.raises(BadLength):
         codec.parse_payload_chain(chain + b"\x00")
 
@@ -237,7 +235,7 @@ def test_encode_encodes_each_body_once(monkeypatch):
 
 def test_dev_payload_wire_type_is_55():
     assert int(PayloadType.DEV) == 55
-    dev = DevBody(nonce=b"\x01" * 16, ciphertext=b"\x02" * 23)
+    dev = DevBody(b"\x01" * 16 + b"\x02" * 23)
     wire = codec.encode_message(
         codec.build_message(b"A" * 8, b"B" * 8, [dev]))
     assert wire[16] == 55
@@ -248,12 +246,14 @@ def test_dev_body_sealed_round_trip():
     key = rng.randbytes(32)
     sealed = crypto.seal(crypto.AES256GCM, key, rng, b"AB12345")
     dev = DevBody.from_sealed(sealed)
+    assert dev == DevBody(sealed)
     assert dev.sealed == sealed
+    assert dev.nonce == sealed[:codec.DEV_NONCE_LEN]
     assert crypto.open_sealed(crypto.AES256GCM, key, dev.sealed) == b"AB12345"
 
 
 def test_dev_body_rejects_wrong_format_version():
-    dev = DevBody(nonce=b"\x01" * 16, ciphertext=b"\x02" * 16)
+    dev = DevBody(b"\x01" * 16 + b"\x02" * 16)
     wire = bytearray(codec.encode_message(
         codec.build_message(b"A" * 8, b"B" * 8, [dev])))
     wire[codec.HEADER_LEN + 4] = 2  # DEV format byte
@@ -263,7 +263,7 @@ def test_dev_body_rejects_wrong_format_version():
 
 
 def test_dev_body_minimum_length_enforced():
-    dev = DevBody(nonce=b"\x01" * 16, ciphertext=b"\x02" * 16)
+    dev = DevBody(b"\x01" * 16 + b"\x02" * 16)
     wire = bytearray(codec.encode_message(
         codec.build_message(b"A" * 8, b"B" * 8, [dev])))
     # shrink the DEV payload below its 4 + 1 + 16 + 16 byte minimum
@@ -311,7 +311,7 @@ def _adversarial_inputs():
     seeds = [codec.encode_message(_fixed_msg1())]
     msg = codec.build_message(
         b"C" * 8, b"D" * 8,
-        [DevBody(nonce=b"\x05" * 16, ciphertext=b"\x06" * 23),
+        [DevBody(b"\x05" * 16 + b"\x06" * 23),
          CertBody(200, b"\x07" * 40), SigBody(b"\x08" * 64)],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=b"\x09" * 64)
     seeds.append(codec.encode_message(msg))

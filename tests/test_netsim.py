@@ -847,6 +847,22 @@ def test_cert_sig_protection_needs_an_established_honest_run():
             == netsim.NOT_SUPPORTED)
 
 
+@pytest.mark.parametrize("tokenless", [
+    ("honest", "flood", "tamper-sa", "tamper-ke"), ("tamper-sa", "tamper-ke")])
+def test_sa_ke_protection_needs_delivered_tampers_and_an_honest_run(tokenless):
+    # a tokenless initiator sends nothing, so its runs deliver no tamper and
+    # its blind observer reads nothing: neither shows any protection
+    alice = PrincipalConfig("alice", Role.INITIATOR, token=False)
+    bob = PrincipalConfig("bob", Role.RESPONDER)
+    reports = [run_scenario(dataclasses.replace(cfg, principals=(alice, bob))
+                            if cfg.name in tokenless else cfg)
+               for cfg in battery_configs(Variant.IMPROVED, seed=1)]
+    assert all(not r.message_log for r in reports
+               if r.scenario in tokenless and r.scenario != "flood")
+    assert (verdicts_from_trace(reports)["sa_ke_protection"]
+            == netsim.NOT_SUPPORTED)
+
+
 @pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
 def test_battery_verdicts_match_expected_row(variant):
     reports = [run_scenario(cfg) for cfg in battery_configs(variant, seed=23)]

@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from conftest import Fleet, drive_handshake
+from conftest import Fleet, drive_handshake, payload_types
 from ikedev import codec, crypto, netsim, protocol, usbkey
 from ikedev.codec import CertBody, DevBody, IdBody, KeBody, NonceBody, PayloadType, SaBody
 from ikedev.errors import DeviceAbsent, IkeDevError
@@ -43,15 +43,15 @@ def test_baseline_wire_shapes(fleet):
     ini, rsp = fleet.pair(Variant.BASELINE)
     wires = drive_handshake(ini, rsp)
     msgs = [codec.decode_message(w) for w in wires]
-    assert [p.type for p in msgs[0].payloads] == [
+    assert payload_types(msgs[0].payloads) == [
         PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID]
-    assert [p.type for p in msgs[1].payloads] == [
+    assert payload_types(msgs[1].payloads) == [
         PayloadType.SA, PayloadType.KE, PayloadType.NONCE, PayloadType.ID,
         PayloadType.CERT, PayloadType.SIG]
-    assert [p.type for p in msgs[2].payloads] == [
+    assert payload_types(msgs[2].payloads) == [
         PayloadType.CERT, PayloadType.SIG]
     assert all(m.encrypted_chain is None for m in msgs)
-    assert msgs[0].payloads[0].body.proposal == codec.DEFAULT_SA_PROPOSAL
+    assert msgs[0].payloads[0].proposal == codec.DEFAULT_SA_PROPOSAL
 
 
 def test_improved_wire_shapes(fleet):
@@ -59,16 +59,16 @@ def test_improved_wire_shapes(fleet):
     wires = drive_handshake(ini, rsp)
     msgs = [codec.decode_message(w) for w in wires]
     # messages 1 and 2 lead with the device payload and carry a sealed chain
-    assert [p.type for p in msgs[0].payloads] == [PayloadType.DEV]
-    assert [p.type for p in msgs[1].payloads] == [
+    assert payload_types(msgs[0].payloads) == [PayloadType.DEV]
+    assert payload_types(msgs[1].payloads) == [
         PayloadType.DEV, PayloadType.CERT, PayloadType.SIG]
     assert msgs[0].encrypted and msgs[0].encrypted_chain
     assert msgs[1].encrypted and msgs[1].encrypted_chain
     # message 3 is flagged encrypted but everything rides in sealed bodies
-    assert [p.type for p in msgs[2].payloads] == [
+    assert payload_types(msgs[2].payloads) == [
         PayloadType.CERT, PayloadType.SIG]
     assert msgs[2].encrypted and msgs[2].encrypted_chain is None
-    assert msgs[1].payloads[1].body.encoding == CERT_ENCODING_SEALED
+    assert msgs[1].payloads[1].encoding == CERT_ENCODING_SEALED
 
 
 def test_improved_wires_leak_no_identity_material(fleet):
@@ -146,7 +146,7 @@ def test_improved_signatures_come_from_the_device(fleet):
 
 def _forged_improved_msg1(rng) -> codec.IsakmpMessage:
     """Attacker without key1: structurally perfect, sealed under junk keys."""
-    dev = DevBody(nonce=rng.randbytes(16), ciphertext=rng.randbytes(23))
+    dev = DevBody(rng.randbytes(16) + rng.randbytes(23))
     return codec.build_message(
         rng.randbytes(8), b"\x00" * 8, [dev],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=rng.randbytes(64))
@@ -391,7 +391,7 @@ def test_improved_rejects_degenerate_public_value_after_gate(fleet):
         device_encrypt(token, token.serial))
     blob = device_session_encrypt(
         token, token.serial,
-        codec.serialize_payload_chain(codec.link_payloads(bodies)))
+        codec.serialize_payload_chain(bodies))
     msg = codec.build_message(rng.randbytes(8), b"\x00" * 8, [dev],
                               flags=codec.FLAG_ENCRYPTION, encrypted_chain=blob)
     assert rsp.responder_on_msg1(msg) is None
@@ -497,9 +497,9 @@ def test_baseline_cert_splice_caught_by_subject_check(fleet):
         if i != 1:
             return wire
         msg = codec.decode_message(wire)
-        bodies = [p.body if p.type is not PayloadType.CERT
-                  else CertBody(p.body.encoding, carol_cert)
-                  for p in msg.payloads]
+        bodies = [body if type(body) is not CertBody
+                  else CertBody(body.encoding, carol_cert)
+                  for body in msg.payloads]
         return codec.encode_message(_resign_chain(msg, bodies))
 
     drive_handshake(ini, rsp, mutate=mutate)
@@ -519,9 +519,9 @@ def test_improved_cert_splice_fails_at_unsealing(fleet):
         if i != 1:
             return wire
         msg = codec.decode_message(wire)
-        bodies = [p.body if p.type is not PayloadType.CERT
+        bodies = [body if type(body) is not CertBody
                   else CertBody(CERT_ENCODING_SEALED, sealed_foreign)
-                  for p in msg.payloads]
+                  for body in msg.payloads]
         return codec.encode_message(_resign_chain(msg, bodies))
 
     drive_handshake(ini, rsp, mutate=mutate)

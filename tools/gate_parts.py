@@ -100,7 +100,7 @@ class Tree:
             sys.exit(f"error: {self.label} answered or paid DH for a forged "
                      "message 1")
 
-        sealed = msg.payloads[0].body.sealed   # the DEV, alone in the clear
+        sealed = msg.first(codec.DevBody).sealed   # the DEV, alone in the clear
         t5 = perf_counter_ns()
         try:
             usbkey.device_decrypt(self.bob.token, sealed)
