@@ -12,14 +12,15 @@ Verdict rules (fixed, mechanical — never hand-set):
 * ``sa_ke_protection``     — supported iff both tamper scenarios delivered
   a tampered datagram and end unestablished with zero
   signature-verification attempts anywhere (the tamper was caught at a
-  decrypt step) AND the honest run established and its no-knowledge
-  observer recovered no SA or KE plaintext.
+  decrypt step) AND a no-knowledge observer watched the honest run
+  establish and recovered no SA or KE plaintext.
 * ``cert_sig_protection``  — supported iff the honest run established and
   its no-knowledge observer recovered no CERT or SIG plaintext.
 * ``dos_prevention``       — supported iff a forged flood left the
   responder's ``dh_ops`` at exactly zero.
-* ``certificate_storage``  — ``device`` iff every signature in the honest
-  run came from a token operation, else ``file``.
+* ``certificate_storage``  — for an established run, ``file`` iff the host
+  can read some principal's signing key (a file identity, or a token region
+  that ``usbkey.ACCESS_POLICY`` lets the host read holds it), else ``device``.
 
 A fifth comparison column sometimes quoted alongside these —
 protocol-version extensibility — has no operational definition and is
@@ -64,6 +65,7 @@ from .usbkey import (
     SecurityToken,
     create_token,
     device_decrypt,
+    host_reads_signing_key,
     make_file_identity,
 )
 
@@ -397,8 +399,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
 
 @dataclass
 class Principal:
-    """Key material, a replay guard, and the totals and signer label of
-    settled sessions."""
+    """Key material, a replay guard, and the totals of settled sessions."""
     name: str
     role: Role
     token: SecurityToken | None
@@ -406,7 +407,6 @@ class Principal:
     replay_guard: ReplayGuard | None
     opened: int = 0
     counters: Counters = field(default_factory=Counters)
-    signature_backend: str | None = None
 
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
@@ -418,12 +418,6 @@ class Principal:
             replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate)
         self.opened += 1
         return session
-
-    def settle(self, session: HandshakeSession) -> None:
-        """Add a finished session into the totals; call once per session."""
-        self.counters.merge(session.counters)
-        if session.signature_backend is not None:
-            self.signature_backend = session.signature_backend
 
 
 @dataclass
@@ -437,7 +431,6 @@ class ScenarioReport:
     skeyid_match: bool | None
     flood_sent: int
     principal_counters: dict[str, dict[str, int]]
-    sign_backends: dict[str, str | None]
     observer_findings: list[dict]
     failure_trace: list[dict]
     message_log: list[dict]
@@ -602,13 +595,13 @@ def _run(config: ScenarioConfig,
     failure_trace: list[dict] = []
 
     def drain(principal: Principal, session: HandshakeSession) -> None:
-        """Trace a finished session's failures and settle it; once each."""
+        """Trace a finished session's failures, add its counters; once each."""
         for event in session.events:
             if event.failure is not None:
                 _fold_into(failure_trace, {"principal": principal.name,
                                            "op": event.op,
                                            "failure": event.failure})
-        principal.settle(session)
+        principal.counters.merge(session.counters)
 
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
@@ -738,8 +731,6 @@ def _run(config: ScenarioConfig,
         flood_sent=flood_sent,
         principal_counters={name: p.counters.to_dict()
                             for name, p in sorted(principals.items())},
-        sign_backends={name: p.signature_backend
-                       for name, p in sorted(principals.items())},
         observer_findings=[{"knowledge": obs.knowledge.value, **finding}
                            for obs in observers for finding in obs.findings],
         failure_trace=failure_trace,
@@ -748,7 +739,7 @@ def _run(config: ScenarioConfig,
     )
     has_none_observer = any(
         obs.knowledge is ObserverKnowledge.NONE for obs in observers)
-    report.verdicts = _partial_verdicts(report, responder.name,
+    report.verdicts = _partial_verdicts(report, principals, responder.name,
                                         has_none_observer)
     return report
 
@@ -758,7 +749,8 @@ def _findings_with(report: ScenarioReport, payloads: tuple[str, ...]) -> bool:
                if f["knowledge"] == ObserverKnowledge.NONE.value)
 
 
-def _partial_verdicts(report: ScenarioReport, responder: str,
+def _partial_verdicts(report: ScenarioReport,
+                      principals: dict[str, Principal], responder: str,
                       has_none_observer: bool) -> dict[str, str]:
     """Verdict entries derivable from this single run (rules in module doc)."""
     verdicts: dict[str, str] = {}
@@ -770,9 +762,10 @@ def _partial_verdicts(report: ScenarioReport, responder: str,
             verdicts["cert_sig_protection"] = (
                 NOT_SUPPORTED if _findings_with(report, ("CERT", "SIG"))
                 else SUPPORTED)
-        backends = {b for b in report.sign_backends.values() if b is not None}
-        verdicts["certificate_storage"] = (
-            "device" if backends == {"device"} else "file")
+        on_host = any(p.file_identity is not None or (
+            p.token is not None and host_reads_signing_key(p.token))
+            for p in principals.values())
+        verdicts["certificate_storage"] = "file" if on_host else "device"
     return verdicts
 
 
@@ -793,7 +786,8 @@ def verdicts_from_trace(reports: list[ScenarioReport]) -> dict[str, str]:
         and any(entry["tampered"] and entry["delivered"]
                 for entry in report.message_log)
         for report in tampers)
-    observer_blind_sa_ke = (honest.established
+    # Set iff a ``none`` observer watched the honest run establish.
+    observer_blind_sa_ke = ("cert_sig_protection" in honest.verdicts
                             and not _findings_with(honest, ("SA", "KE")))
 
     return {

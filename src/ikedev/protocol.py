@@ -197,7 +197,6 @@ class HandshakeSession:
     counters: Counters = field(default_factory=Counters)
     events: list[TransitionEvent] = field(default_factory=list)
     failure: str | None = None
-    signature_backend: str | None = None
     skeyid: crypto.SkeyidBundle | None = None
     peer_serial: bytes | None = None
 
@@ -265,11 +264,9 @@ class HandshakeSession:
         if self.variant is Variant.BASELINE:
             if self.file_identity is None:
                 raise DeviceAbsent(f"{self.name} has no file identity")
-            self.signature_backend = "file"
             return [CertBody(CERT_ENCODING_CLEAR,
                              self.file_identity.certificate.encoded),
                     SigBody(crypto.sign(self.file_identity.signing_key, digest))]
-        self.signature_backend = "device"
         signature = device_sign(self.token, digest)
         cert_encoded = device_get_certificate(self.token).encoded
         serial_key = crypto.kdf_serial(self.token.serial)

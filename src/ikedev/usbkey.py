@@ -5,7 +5,8 @@ signing keypair and a certificate.  Secret material never crosses the
 device boundary: callers get ciphertext, plaintext, signatures or the
 certificate, never key bytes.  Memory is partitioned into regions with a
 fixed host-access policy (manager regions are sealed, the virtual CD is
-read-only, the user region is read-write).
+read-only, the user region is read-write).  That policy decides the
+``certificate_storage`` cell, through :func:`host_reads_signing_key`.
 
 Module-level ``device_*`` functions accept ``None`` for principals that
 carry no device and raise :class:`~ikedev.errors.DeviceAbsent`, which is
@@ -251,3 +252,10 @@ def region_access(token: SecurityToken | None, region: RegionId, op: RegionOp,
         token._regions[region] = bytes(data or b"")
         return None
     raise ValueError(f"unsupported region op {op}")
+
+
+def host_reads_signing_key(token: SecurityToken) -> bool:
+    """Whether a region the host may read holds this device's signing key."""
+    key = token._signing_key.private_bytes_raw()
+    return any(key in region_access(token, region, RegionOp.READ)
+               for region, (may_read, _) in ACCESS_POLICY.items() if may_read)

@@ -126,20 +126,33 @@ def test_improved_responder_without_device_stops(fleet):
     assert rsp.counters.dh_ops == 0
 
 
-def test_baseline_needs_no_device(fleet):
+@pytest.fixture
+def device_signers(monkeypatch):
+    """The name of each session that signs through the device, in order."""
+    signers = []
+    device_sign = protocol.device_sign
+
+    def recorded(token, data):
+        signers.append(token.certificate.subject)
+        return device_sign(token, data)
+
+    monkeypatch.setattr(protocol, "device_sign", recorded)
+    return signers
+
+
+def test_baseline_needs_no_device(fleet, device_signers):
     ini = fleet.session("alice", Role.INITIATOR, Variant.BASELINE, token=False)
     rsp = fleet.session("bob", Role.RESPONDER, Variant.BASELINE, token=False,
                         replay_guard=ReplayGuard())
     drive_handshake(ini, rsp)
     assert ini.state is SessionState.ESTABLISHED
-    assert ini.signature_backend == "file" and rsp.signature_backend == "file"
+    assert device_signers == []
 
 
-def test_improved_signatures_come_from_the_device(fleet):
+def test_improved_signatures_come_from_the_device(fleet, device_signers):
     ini, rsp = fleet.pair(Variant.IMPROVED)
     drive_handshake(ini, rsp)
-    assert ini.signature_backend == "device"
-    assert rsp.signature_backend == "device"
+    assert device_signers == ["bob", "alice"]
 
 
 # --- the device gate ---------------------------------------------------------

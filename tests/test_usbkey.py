@@ -75,6 +75,22 @@ def test_virtual_cd_is_stable_and_readonly(token):
     assert usbkey.region_access(token, RegionId.VIRTUAL_CD, RegionOp.READ) == image
 
 
+def test_host_reads_no_signing_key_from_a_provisioned_token(token):
+    assert usbkey.host_reads_signing_key(token) is False
+
+
+def test_host_reads_the_signing_key_under_a_leaky_policy(token, monkeypatch):
+    monkeypatch.setitem(usbkey.ACCESS_POLICY, RegionId.MANAGER_PRIVATE_KEY,
+                        (True, False))
+    assert usbkey.host_reads_signing_key(token) is True
+
+
+def test_host_reads_the_signing_key_copied_to_user_data(token):
+    usbkey.region_access(token, RegionId.USER_DATA, RegionOp.WRITE,
+                         b"backup:" + _provisioned_private_key(token))
+    assert usbkey.host_reads_signing_key(token) is True
+
+
 # --- identity / provisioning ----------------------------------------------
 
 def test_serial_echo(token):
