@@ -202,8 +202,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     result = run_matrix(seed, disable_dos_gate=args.disable_dos_gate,
                         group=args.group)
-    matches = all(result[v]["matches_expected"] for v in ("baseline",
-                                                          "improved"))
+    matches = all(row["matches_expected"] for row in result.values())
     if args.format == "structured":
         _print_structured({
             "seed": seed,
@@ -218,18 +217,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
     titles = [COLUMN_TITLES[c] for c in TABLE_COLUMNS]
     widths = [max(len(t), 13) for t in titles]
-    header = "variant   " + "  ".join(t.ljust(w) for t, w in zip(titles,
-                                                                 widths))
+    header = "variant   " + "  ".join(map(str.ljust, titles, widths))
     _emit(header)
     _emit("-" * len(header))
     for variant, row in result.items():
-        cells = []
-        for column, width in zip(TABLE_COLUMNS, widths):
-            verdict = row["verdicts"][column]
-            if column == "certificate_storage":
-                cells.append(verdict.ljust(width))
-            else:
-                cells.append(_glyph(verdict, args.ascii).ljust(width))
+        cells = [_glyph(row["verdicts"][column], args.ascii).ljust(width)
+                 for column, width in zip(TABLE_COLUMNS, widths)]
         _emit(f"{variant:<9} " + "  ".join(cells))
     _emit(f"matches expected pattern: {matches}")
     return 0 if matches else 1
@@ -245,12 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IkeDevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 1
-    except OSError as exc:
+    except (IkeDevError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

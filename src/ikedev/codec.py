@@ -292,8 +292,7 @@ def decode_message(data: bytes) -> IsakmpMessage:
 
 
 def link_payloads(bodies: list[Body]) -> list[Body]:
-    """A copy of ``bodies``: a chain is its bodies.  Kept only because
-    perfbench/workloads.py calls it."""
+    """A copy of ``bodies``; kept because perfbench/workloads.py calls it."""
     return list(bodies)
 
 

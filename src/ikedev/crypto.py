@@ -85,12 +85,12 @@ class _SeedOnFirstUse(random.Random):
 # Diffie-Hellman
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DhGroup:
     """Multiplicative group mod p with generator g.
 
-    ``value_size`` is the fixed big-endian width used for public values and
-    shared secrets on the wire.
+    ``value_size`` is the fixed big-endian width of public values and shared
+    secrets on the wire.  A group equals only itself: caches hash it by id.
     """
 
     name: str
@@ -98,7 +98,7 @@ class DhGroup:
     g: int
     exponent_bits: int
 
-    @property
+    @functools.cached_property
     def value_size(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
@@ -310,7 +310,7 @@ def kdf_session(key1: bytes, serial: bytes) -> bytes:
 # Authenticated encryption
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AeadSuite:
     """AEAD cipher parameters; ``seal``/``open_sealed`` do nonce framing."""
 
@@ -344,7 +344,8 @@ def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:
     try:
         return _aesgcm(key).decrypt(blob[:split], blob[split:], b"")
     except InvalidTag:
-        raise AuthFailure("authentication tag mismatch") from None
+        pass    # raised below, outside the handler, it chains no context
+    raise AuthFailure("authentication tag mismatch")
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,12 @@ Verdict rules (fixed, mechanical — never hand-set):
 * ``certificate_storage``  — for an established run, ``file`` iff the host
   can read some principal's signing key (a file identity, or a token region
   that ``usbkey.ACCESS_POLICY`` lets the host read holds it), else ``device``.
-
-A fifth comparison column sometimes quoted alongside these —
-protocol-version extensibility — has no operational definition and is
-documentation only; it is deliberately absent from the verdict map.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import socket
 import types
@@ -345,7 +342,8 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
 
     A DEV body opens under key1 to a serial, which joins ``serials``
     (mutated in place, so a party carries serials across a transcript —
-    message 3 has no DEV payload of its own).  The encrypted chain opens
+    message 3 has no DEV payload of its own); as at the responder's gate, a
+    record that is not 7 bytes is no serial.  The encrypted chain opens
     under key1 and a serial; a sealed CERT (by its encoding byte) or SIG (in
     a flag-encrypted message) opens under a serial alone.  Every other body
     is readable as-is.  Serials are tried this datagram's own first.
@@ -370,6 +368,8 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
             try:
                 serial = device_decrypt(token, body.sealed)
             except AuthFailure:
+                continue
+            if len(serial) != crypto.SERIAL_LEN:
                 continue
             findings.append(Finding("DEV-SERIAL", serial))
             serials_here.append(serial)
@@ -475,14 +475,22 @@ def _fold_into(entries: list[dict], entry: dict) -> None:
     entries.append(entry)
 
 
+_FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
+
+
+@functools.lru_cache(maxsize=16)
+def _forged_id(source: str) -> codec.IdBody:
+    return codec.IdBody(ID_TYPE_FQDN, source.encode())
+
+
 def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
                  source: str) -> bytes:
     """Well-formed message 1 that cost the attacker no key1 and no modexp."""
     bodies = [
-        codec.SaBody(codec.DEFAULT_SA_PROPOSAL),
+        _FORGED_SA,
         codec.KeBody(rng.randbytes(group.value_size)),
         codec.NonceBody(rng.randbytes(16)),
-        codec.IdBody(ID_TYPE_FQDN, source.encode()),
+        _forged_id(source),
     ]
     if variant is Variant.BASELINE:
         msg = codec.build_message(rng.randbytes(8), bytes(8), bodies)
@@ -586,8 +594,7 @@ def _run(config: ScenarioConfig,
             elif (action.knowledge is ObserverKnowledge.SERIAL
                   and responder.token is not None):
                 serials = {responder.token.serial}
-            observers.append(_ObserverState(action.knowledge, obs_token,
-                                            serials))
+            observers.append(_ObserverState(action.knowledge, obs_token, serials))
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
 
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind

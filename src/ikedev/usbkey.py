@@ -207,7 +207,8 @@ def device_encrypt(token: SecurityToken | None, plaintext: bytes) -> bytes:
 
 def device_decrypt(token: SecurityToken | None, ciphertext: bytes) -> bytes:
     """Open a key1 blob; tag failure means the sender is not legitimate."""
-    token = _require(token)
+    if token is None:
+        raise DeviceAbsent("no security key device attached")
     return crypto.open_sealed(crypto.AES256GCM, token._key1, ciphertext)
 
 

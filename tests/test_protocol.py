@@ -237,18 +237,52 @@ def test_gate_rejects_msg1_without_dev_payload(fleet):
     assert rsp.events[-1].failure == "no-dev"
 
 
-def test_gate_rejects_wrong_length_serial(fleet):
+def _nine_byte_serial_msg1(fleet: Fleet) -> codec.IsakmpMessage:
+    """A message 1 whose DEV is a genuine key1 seal, but of a 9-byte record."""
     rng = crypto.derive_rng(5, "x")
-    _, rsp = fleet.pair(Variant.IMPROVED)
-    token = fleet.tokens["alice"]
-    # a genuine key1 seal, but of a 9-byte record
-    sealed = device_encrypt(token, b"AB1234567")
-    msg = codec.build_message(
+    sealed = device_encrypt(fleet.tokens["alice"], b"AB1234567")
+    return codec.build_message(
         rng.randbytes(8), b"\x00" * 8, [DevBody.from_sealed(sealed)],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=rng.randbytes(64))
-    assert rsp.responder_on_msg1(msg) is None
+
+
+def test_gate_rejects_wrong_length_serial(fleet):
+    _, rsp = fleet.pair(Variant.IMPROVED)
+    assert rsp.responder_on_msg1(_nine_byte_serial_msg1(fleet)) is None
     assert rsp.events[-1].failure == "bad-dev"
     assert rsp.counters.dh_ops == 0
+
+
+def test_an_observer_learns_no_serial_from_a_wrong_length_record(fleet):
+    # the record opens under key1, but like the gate a key1 holder takes
+    # only a 7-byte record for a serial, and tries no chain key with it
+    serials: set[bytes] = set()
+    findings = netsim.observe(_nine_byte_serial_msg1(fleet),
+                              fleet.tokens["carol"], serials)
+    assert findings == [] and serials == set()
+
+
+@pytest.mark.parametrize("dev", ["forged", "nine-byte record"])
+def test_a_gated_reject_is_one_event_and_one_pre_dh_reject(fleet, dev):
+    # the whole outcome of a message 1 turned away at the DEV check: the
+    # session stays idle, records one event and counts one pre-DH reject and
+    # no DH or signature work; only a DEV whose tag fails is a failed open
+    if dev == "forged":
+        msg = codec.decode_message(netsim._forged_msg1(
+            Variant.IMPROVED, random.Random(4), crypto.MODP2048_GROUP,
+            "attacker"))
+    else:
+        msg = _nine_byte_serial_msg1(fleet)
+    rsp = fleet.session("bob", Role.RESPONDER, Variant.IMPROVED,
+                        replay_guard=ReplayGuard(), group=crypto.MODP2048_GROUP)
+    assert rsp.responder_on_msg1(msg) is None
+    assert rsp.state is SessionState.IDLE
+    assert rsp.events == [("responder_on_msg1", "idle", None, "bad-dev")]
+    assert rsp.counters.to_dict() == {
+        "dh_ops": 0, "sig_verifies": 0,
+        "decrypt_failures": 1 if dev == "forged" else 0,
+        "messages_rejected_pre_dh": 1}
+    assert len(rsp.replay_guard) == 0
 
 
 def test_gate_detects_replayed_dev_nonce(fleet):

@@ -10,7 +10,10 @@ packets ``netsim`` floods with, and each part of its work is timed apart:
 * key1_open  -- ``usbkey.device_decrypt`` of the packet's DEV, which fails
                 (a part of on_msg1, timed again on its own);
 * record     -- ``HandshakeSession._record`` of the reject on a fresh
-                session (also a part of on_msg1).
+                session (also a part of on_msg1);
+* aes_floor  -- the failing ``AESGCM.decrypt`` of the same DEV under key1,
+                called on ``cryptography`` directly: what key1_open would
+                cost with no Python of ikedev around it.
 
 ``total`` is decode + derive_rng + session + on_msg1, the responder's whole
 cost of one forged packet.  Both trees are imported side by side, each
@@ -35,11 +38,15 @@ import sys
 from pathlib import Path
 from time import perf_counter_ns
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKETS = 1000
 PASSES = 8
 SEED = 1
-PARTS = ("decode", "derive_rng", "session", "on_msg1", "key1_open", "record")
+PARTS = ("decode", "derive_rng", "session", "on_msg1", "key1_open", "record",
+         "aes_floor")
 
 
 def load(src: Path, name: str):
@@ -69,6 +76,7 @@ class Tree:
             netsim._deployment(SEED), protocol.Variant.IMPROVED,
             netsim.ScenarioConfig().principals)
         self.bob = principals["bob"]
+        self.key1_aead = AESGCM(self.bob.token._key1)
         attacker = random.Random(f"gate-parts|{SEED}")
         self.packets = [netsim._forged_msg1(protocol.Variant.IMPROVED, attacker,
                                             self.group, "mallory")
@@ -111,8 +119,15 @@ class Tree:
         t7 = perf_counter_ns()
         fresh._record("responder_on_msg1", failure="bad-dev")
         t8 = perf_counter_ns()
+        nonce, rest = sealed[:codec.DEV_NONCE_LEN], sealed[codec.DEV_NONCE_LEN:]
+        t9 = perf_counter_ns()
+        try:
+            self.key1_aead.decrypt(nonce, rest, b"")
+        except InvalidTag:
+            pass
+        t10 = perf_counter_ns()
         for part, spent in zip(PARTS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3,
-                                       t6 - t5, t8 - t7)):
+                                       t6 - t5, t8 - t7, t10 - t9)):
             ns[part].append(spent)
 
 
