@@ -7,6 +7,12 @@ and replay of captured datagrams.  Every random
 choice flows from ``crypto.derive_rng(seed, label)``, so a (scenario, seed)
 pair reproduces the identical :class:`ScenarioReport`, byte for byte.
 
+One rule delivers every datagram.  Each scripted one (a flood packet,
+message 1 of the handshake, a replay) opens a fresh session of its
+receiver.  Each reply goes at once back to the session that sent what it
+answers; a flood packet or a replay has no such session, so a reply to it
+is lost, never sent.
+
 Verdict rules (fixed, mechanical — never hand-set):
 
 * ``sa_ke_protection``     — supported iff both tamper scenarios delivered
@@ -601,15 +607,6 @@ def _run(config: ScenarioConfig,
     message_log: list[dict] = []
     failure_trace: list[dict] = []
 
-    def drain(principal: Principal, session: HandshakeSession) -> None:
-        """Trace a finished session's failures, add its counters; once each."""
-        for event in session.events:
-            if event.failure is not None:
-                _fold_into(failure_trace, {"principal": principal.name,
-                                           "op": event.op,
-                                           "failure": event.failure})
-        principal.counters.merge(session.counters)
-
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
         """Carry one datagram to ``dst`` and decode it once, for the
@@ -660,18 +657,42 @@ def _run(config: ScenarioConfig,
                                  "delivered": delivered})
         return decoded
 
-    def deliver_to_fresh(principal: Principal, msg: codec.IsakmpMessage | None,
-                         kind: str) -> None:
-        session = principal.new_session(config.variant, seed, group,
-                                        config.disable_dos_gate)
-        if msg is not None:
+    def exchange(wire: bytes | None, src: str, dst: str, kind: str,
+                 label: str | None = None,
+                 sender: HandshakeSession | None = None) -> HandshakeSession:
+        """Carry ``wire`` to a fresh session of ``dst``, then each reply at
+        once back to the session that sent what it answers, until a step
+        sends nothing or a datagram is not delivered; with no ``sender`` (a
+        flood or a replay) a reply is lost.  ``wire`` None, from a sender
+        that sent nothing, still opens ``dst``'s session.  Drains the
+        sender's session, then ``dst``'s, and returns ``dst``'s."""
+        msg = None if wire is None else transmit(wire, src, dst, kind, label)
+        receiver = principals[dst].new_session(config.variant, seed, group,
+                                               config.disable_dos_gate)
+        at, peer = receiver, sender
+        while msg is not None:
             try:
-                getattr(session, _STEP[kind])(msg)
-            except DeviceAbsent:
-                pass
-        drain(principal, session)
+                reply = getattr(at, _STEP[kind])(msg)
+            except DeviceAbsent:   # a step that finds no device sends nothing
+                break
+            if reply is None or peer is None:
+                break
+            kind = at.events[-1].emitted   # what the step logged it sent
+            msg = transmit(codec.encode_message(reply), at.name, peer.name,
+                           kind)
+            at, peer = peer, at
+        # Only the step that ends the exchange can record a failure, so
+        # draining afterwards keeps the trace in the order it happened.
+        for session in (receiver,) if sender is None else (sender, receiver):
+            for event in session.events:
+                if event.failure is not None:
+                    _fold_into(failure_trace, {"principal": session.name,
+                                               "op": event.op,
+                                               "failure": event.failure})
+            principals[session.name].counters.merge(session.counters)
+        return receiver
 
-    # Phase 1: floods.
+    # The script: floods, then the honest handshake, then replays.
     flood_sent = 0
     attacker_rng = crypto.derive_rng(seed, "adversary")
     for action in config.adversary:
@@ -680,44 +701,25 @@ def _run(config: ScenarioConfig,
         for _ in range(action.count):
             wire = _forged_msg1(config.variant, attacker_rng, group,
                                 action.forge_source)
-            msg = transmit(wire, action.forge_source, responder.name, "flood")
-            deliver_to_fresh(responder, msg, "flood")
+            exchange(wire, action.forge_source, responder.name, "flood")
             flood_sent += 1
 
-    # Phase 2: the honest handshake, if the scenario runs one.
-    established: bool | None = None
-    skeyid_match: bool | None = None
+    established = skeyid_match = None
     if config.handshake:
         ini_session = initiator.new_session(config.variant, seed, group,
                                             config.disable_dos_gate)
-        rsp_session = responder.new_session(config.variant, seed, group,
-                                            config.disable_dos_gate)
-        # The ladder stops at the first step that sends nothing or whose
-        # datagram does not arrive; a step that finds no device sends nothing.
         try:
-            outgoing = ini_session.initiator_start()
-            for src, dst, kind in ((ini_session, rsp_session, "msg1"),
-                                   (rsp_session, ini_session, "msg2"),
-                                   (ini_session, rsp_session, "msg3")):
-                if outgoing is None:
-                    break
-                received = transmit(codec.encode_message(outgoing), src.name,
-                                    dst.name, kind)
-                if received is None:
-                    break
-                outgoing = getattr(dst, _STEP[kind])(received)
+            msg1 = ini_session.initiator_start()
         except DeviceAbsent:
-            pass
-        # Only the step that ends the ladder can record a failure, so
-        # draining afterwards keeps the trace in the order it happened.
-        drain(initiator, ini_session)
-        drain(responder, rsp_session)
+            msg1 = None
+        rsp_session = exchange(
+            None if msg1 is None else codec.encode_message(msg1),
+            initiator.name, responder.name, "msg1", sender=ini_session)
         established = (ini_session.state is SessionState.ESTABLISHED
                        and rsp_session.state is SessionState.ESTABLISHED)
         skeyid_match = (established
                         and ini_session.skeyid == rsp_session.skeyid)
 
-    # Phase 3: replays of captured datagrams, each to a fresh session.
     for action in config.adversary:
         if not isinstance(action, Replay):
             continue
@@ -726,8 +728,7 @@ def _run(config: ScenarioConfig,
                 f"replay index {action.message} out of range "
                 f"({len(transcript)} messages captured)")
         wire, _, dst, kind = transcript[action.message]
-        msg = transmit(wire, "adversary", dst, kind, label="replay")
-        deliver_to_fresh(principals[dst], msg, kind)
+        exchange(wire, "adversary", dst, kind, label="replay")
 
     report = ScenarioReport(
         scenario=config.name,

@@ -348,7 +348,7 @@ class HandshakeSession:
             return "cert"
         return cert, signature
 
-    # -- ladder steps ---------------------------------------------------------
+    # -- ladder steps: each returns the message it sends, or None -----------
 
     def initiator_start(self) -> IsakmpMessage | None:
         op = "initiator_start"
@@ -482,21 +482,21 @@ class HandshakeSession:
         self._record(op, emitted="msg3")
         return reply
 
-    def responder_on_msg3(self, msg: IsakmpMessage) -> bool:
+    def responder_on_msg3(self, msg: IsakmpMessage) -> None:
         op = "responder_on_msg3"
         if self.role is not _RESPONDER or self.state is not _SENT2:
             self._fail(op, "out-of-order")
-            return False
+            return
 
         cert_body = msg.first(CertBody)
         sig_body = msg.first(SigBody)
         if cert_body is None or sig_body is None:
             self._fail(op, "malformed")
-            return False
+            return
         auth = self._open_peer_auth(cert_body, sig_body, self._id_i)
         if isinstance(auth, str):
             self._fail(op, auth)
-            return False
+            return
         cert, signature = auth
 
         hash_i = crypto.compute_hash(self.skeyid.skeyid, self.peer_public,
@@ -505,7 +505,6 @@ class HandshakeSession:
         self.counters.sig_verifies += 1
         if not crypto.verify(cert.public_key, hash_i, signature):
             self._fail(op, "sig-verify")
-            return False
+            return
         self.state = _ESTABLISHED
         self._record(op)
-        return True

@@ -189,10 +189,6 @@ def _require(token: SecurityToken | None) -> SecurityToken:
 # On-device operations
 # ---------------------------------------------------------------------------
 
-def device_get_serial(token: SecurityToken | None) -> bytes:
-    return _require(token).serial
-
-
 def device_get_certificate(token: SecurityToken | None) -> Certificate:
     return _require(token).certificate
 

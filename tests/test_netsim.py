@@ -585,6 +585,42 @@ def test_a_replayed_replay_goes_to_the_step_of_its_original(variant):
          "failure": "out-of-order", "count": 2}]
 
 
+def test_a_reply_to_a_replay_is_never_sent():
+    # The baseline responder answers the replayed message 1 (and pays a DH
+    # keypair for it), but no session sent the replay, so the reply is lost.
+    # A flood's: test_a_flood_is_one_log_entry_and_one_trace_entry.
+    report = run_scenario(scenario(variant=Variant.BASELINE, seed=1,
+                                   adversary=[Replay(message=0)]))
+    assert report.principal_counters["bob"]["dh_ops"] == 2
+    assert [(m["src"], m["dst"], m["kind"])
+            for m in _unfolded(report.to_dict())["message_log"]] == [
+        ("alice", "bob", "msg1"), ("bob", "alice", "msg2"),
+        ("alice", "bob", "msg3"), ("adversary", "bob", "replay")]
+
+
+@pytest.mark.parametrize("variant, alice_token, replayed", [
+    (Variant.BASELINE, True, 2), (Variant.IMPROVED, True, 2),
+    (Variant.IMPROVED, False, 1)])
+def test_each_scripted_datagram_opens_the_next_session_ordinal(
+        monkeypatch, variant, alice_token, replayed):
+    # Floods, then the handshake, then a replay.  A tokenless initiator
+    # sends no message 1, and bob still opens the handshake's session.
+    labels = []
+    derive_rng = crypto.derive_rng
+
+    def recording(seed, label):
+        if label.startswith("session|"):
+            labels.append(label.removeprefix("session|"))
+        return derive_rng(seed, label)
+    monkeypatch.setattr(crypto, "derive_rng", recording)
+    run_scenario(scenario(
+        variant=variant, seed=1,
+        principals=(PrincipalConfig("alice", Role.INITIATOR, alice_token),
+                    PrincipalConfig("bob", Role.RESPONDER)),
+        adversary=[Flood(count=2), Replay(message=replayed)]))
+    assert labels == ["bob|0", "bob|1", "alice|0", "bob|2", "bob|3"]
+
+
 def test_replay_index_out_of_range_is_config_error():
     with pytest.raises(ConfigError):
         run_scenario(scenario(adversary=[Replay(message=40)]))

@@ -588,7 +588,7 @@ def test_stale_msg3_rejected_by_fresh_responder(fleet, variant):
     ini2, rsp2 = fleet.pair(variant, label="second")
     msg2 = rsp2.responder_on_msg1(ini2.initiator_start())
     assert msg2 is not None
-    assert rsp2.responder_on_msg3(stale_msg3) is False
+    assert rsp2.responder_on_msg3(stale_msg3) is None
     assert rsp2.failure == "sig-verify"
 
 
@@ -639,7 +639,7 @@ def test_out_of_order_calls_fail_cleanly(fleet):
     ini2, rsp2 = fleet.pair(Variant.BASELINE, label="ooo2")
     assert ini2.initiator_on_msg2(msg1) is None   # msg2 before start
     assert ini2.failure == "out-of-order"
-    assert rsp2.responder_on_msg3(msg1) is False  # msg3 before msg1
+    assert rsp2.responder_on_msg3(msg1) is None   # msg3 before msg1
     assert rsp2.failure == "out-of-order"
 
 

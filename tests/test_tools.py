@@ -46,7 +46,21 @@ def test_gate_parts_times_each_part_of_a_gated_reject(tools, monkeypatch):
 def test_matrix_parts_splits_a_flood_packet_in_each_variant(tools, monkeypatch):
     _, matrix_parts, ike = tools
     monkeypatch.setattr(matrix_parts, "PACKETS", 4)
+    clocked = matrix_parts.clocked
     for variant in ike["protocol"].Variant:
-        parts = matrix_parts.flood_parts(ike, variant)
+        # The tool's wrappers wrap these, so each mark here lies inside the
+        # tool's marks for the same call.
+        forge, decode, session = [], [], []
+        with (clocked(ike["netsim"], "_forged_msg1", forge),
+              clocked(ike["codec"], "decode_message", decode),
+              clocked(ike["netsim"].Principal, "new_session", session)):
+            parts = matrix_parts.flood_parts(ike, variant)
         assert set(parts) == {*matrix_parts.PARTS, "total"}
         assert all(us >= 0 for us in parts.values())
+        # Each packet is decoded once, inside the span the tool calls
+        # ``transmit``: after its forge ends, before its session opens.
+        packets = matrix_parts.PACKETS
+        assert len(decode) == len(forge) == len(session) == 2 * packets
+        for i in range(packets):
+            assert forge[2 * i + 1] <= decode[2 * i]
+            assert decode[2 * i + 1] <= session[2 * i]

@@ -93,10 +93,6 @@ def test_host_reads_the_signing_key_copied_to_user_data(token):
 
 # --- identity / provisioning ----------------------------------------------
 
-def test_serial_echo(token):
-    assert usbkey.device_get_serial(token) == b"AB12345"
-
-
 def test_create_token_rejects_bad_serial(deployment):
     with pytest.raises(InvalidSerialLength):
         usbkey.create_token(b"short", deployment, "alice")
@@ -106,7 +102,6 @@ def test_create_token_rejects_bad_serial(deployment):
 
 def test_absent_device_raises_everywhere():
     for call in (
-        lambda: usbkey.device_get_serial(None),
         lambda: usbkey.device_get_certificate(None),
         lambda: usbkey.device_encrypt(None, b"x"),
         lambda: usbkey.device_decrypt(None, b"x" * 33),
@@ -222,7 +217,7 @@ def test_file_identity_signs_with_its_file_key():
 def test_key_material_never_leaks_through_readable_surfaces(token, deployment):
     secrets = [deployment.key1, _provisioned_private_key(token)]
     readable = [
-        usbkey.device_get_serial(token),
+        token.serial,
         usbkey.device_get_certificate(token).encoded,
         usbkey.region_access(token, RegionId.VIRTUAL_CD, RegionOp.READ),
         usbkey.region_access(token, RegionId.USER_DATA, RegionOp.READ),
