@@ -206,14 +206,19 @@ _BODY_PARSERS = {
 
 def _encode_chain(bodies: list[Body]) -> tuple[int, bytes]:
     """The first body's type and the chain, whose generic headers each
-    link to the type of the body after it."""
-    codes = [_BODY_CODECS[type(body)][0] for body in bodies]
-    out = b""
-    for body, link in zip(bodies, codes[1:] + [0]):
+    link to the type of the body after it (the last to 0), written once
+    that type is known."""
+    parts, first, data = [], 0, None   # data: the last body's bytes, header due
+    for body in bodies:
+        code = _BODY_CODECS[type(body)][0]
+        if data is None:
+            first = code
+        else:
+            parts += _GENERIC_HEADER.pack(code, 0, GENERIC_HEADER_LEN + len(data)), data
         data = encode_body(body)
-        out += _GENERIC_HEADER.pack(link, 0, GENERIC_HEADER_LEN + len(data))
-        out += data
-    return (codes[0] if codes else 0), out
+    if data is not None:
+        parts += _GENERIC_HEADER.pack(0, 0, GENERIC_HEADER_LEN + len(data)), data
+    return first, b"".join(parts)
 
 
 def _parse_chain(data: bytes, offset: int, first_type: int,

@@ -9,10 +9,12 @@ Diffie-Hellman for the modexp on groups that it accepts.
 
 from __future__ import annotations
 
+import _random
 import functools
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import serialization
@@ -46,7 +48,8 @@ def _switching(name: str, seeded: bool):
     """A method that makes the object a plain ``random.Random``, seeded from
     the kept (seed, label) if ``seeded``, and then calls its ``name``.  A
     bound method taken before the switch (``choices`` keeps ``self.random``)
-    finds nothing kept when called again."""
+    finds nothing kept when called again.  It seeds via ``_random``: what
+    ``random.Random.seed`` adds, ``gauss_next = None``, ``__init__`` did."""
     def method(self, *args, **kwargs):
         kept = self.__dict__.pop("_kept", None)
         if kept is not None:
@@ -54,7 +57,7 @@ def _switching(name: str, seeded: bool):
             if seeded:
                 seed, label = kept
                 digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
-                self.seed(int.from_bytes(digest, "big"))
+                _random.Random.seed(self, int.from_bytes(digest, "big"))
         return getattr(self, name)(*args, **kwargs)
     return method
 
@@ -102,6 +105,12 @@ class DhGroup:
     def value_size(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
+    @functools.cached_property
+    def in_openssl(self) -> bool:
+        """Whether OpenSSL does the modexp: it refuses a modulus of under
+        512 bits, so smaller groups, ``desk64`` among them, stay in Python."""
+        return self.p.bit_length() >= 512
+
     def encode(self, value: int) -> bytes:
         return value.to_bytes(self.value_size, "big")
 
@@ -130,15 +139,6 @@ MODP2048_GROUP = DhGroup(name="modp2048", p=_MODP2048_P, g=2, exponent_bits=256)
 GROUPS = {group.name: group for group in (DESK_GROUP, MODP2048_GROUP)}
 
 
-# OpenSSL refuses a DH modulus of fewer bits ("p (modulus) must be at least
-# 512-bit"), so smaller groups, ``desk64`` among them, stay in Python.
-_OPENSSL_MIN_BITS = 512
-
-
-def _in_openssl(group: DhGroup) -> bool:
-    return group.p.bit_length() >= _OPENSSL_MIN_BITS
-
-
 @functools.cache
 def _openssl_parameters(group: DhGroup) -> dh.DHParameterNumbers:
     return dh.DHParameterNumbers(group.p, group.g)
@@ -157,9 +157,9 @@ def _openssl_modexp(group: DhGroup, base: int, x: int) -> bytes:
     return key.exchange(dh.DHPublicNumbers(base, params).public_key())
 
 
-# Exponent bits per row of a fixed-base table: one table lookup and at most
-# one modular multiplication per window of the exponent.  A window is one
-# byte, because dh_keypair splits the exponent with int.to_bytes.
+# Exponent bits per row of a fixed-base table: one table lookup and one
+# multiplication per window of the exponent.  A window is one byte, because
+# dh_keypair splits the exponent with int.to_bytes.
 _WINDOW_BITS = 8
 
 
@@ -191,21 +191,21 @@ def dh_keypair(group: DhGroup, rng: random.Random) -> tuple[int, bytes]:
 
     On a group of 512 bits or more (``modp2048``), g^x comes from OpenSSL
     (``_openssl_modexp`` with base g), ~0.6 ms.  On a smaller group it is
-    read off the group's fixed-base table (``_fixed_base_table``):
-    ceil(exponent_bits / 8) modular multiplications, 7 on ``desk64``.
+    read off the group's fixed-base table (``_fixed_base_table``): the
+    product of ceil(exponent_bits / 8) entries, 7 on ``desk64``, reduced
+    mod p once, which costs less than a reduction after each product.
     """
     p = group.p
     x = 0
     while not 1 <= x <= p - 2:
         x = rng.getrandbits(group.exponent_bits)
-    if _in_openssl(group):
+    if group.in_openssl:
         return x, _openssl_modexp(group, group.g, x)
     table = _fixed_base_table(group)
     gx = 1
     for row, digit in zip(table, x.to_bytes(len(table), "little")):
-        if digit:
-            gx = gx * row[digit] % p
-    return x, group.encode(gx)
+        gx *= row[digit]
+    return x, group.encode(gx % p)
 
 
 def dh_shared(group: DhGroup, x: int, peer_gx: bytes) -> bytes:
@@ -217,7 +217,7 @@ def dh_shared(group: DhGroup, x: int, peer_gx: bytes) -> bytes:
     value = int.from_bytes(peer_gx, "big")
     if not 2 <= value <= group.p - 2:
         raise WeakPublicValue(f"public value {value} outside [2, p-2]")
-    if _in_openssl(group):
+    if group.in_openssl:
         return _openssl_modexp(group, value, x)
     return group.encode(pow(value, x, group.p))
 
@@ -248,8 +248,7 @@ def prf(key: bytes, data: bytes) -> bytes:
     return hashlib.sha256(opad + hashlib.sha256(ipad + data).digest()).digest()
 
 
-@dataclass(frozen=True)
-class SkeyidBundle:
+class SkeyidBundle(NamedTuple):
     """Phase-1 master keying material and its derived sub-keys."""
 
     skeyid: bytes
@@ -266,13 +265,17 @@ def derive_skeyid(ni: bytes, nr: bytes, gxy: bytes,
     SKEYID_d = prf(SKEYID, g^xy | CKY-I | CKY-R | 0)
     SKEYID_a = prf(SKEYID, SKEYID_d | g^xy | CKY-I | CKY-R | 1)
     SKEYID_e = prf(SKEYID, SKEYID_a | g^xy | CKY-I | CKY-R | 2)
-    """
+    SKEYID keys the last three, so its HMAC pads are looked up once."""
     skeyid = prf(ni + nr, gxy)
+    ipad, opad = _hmac_pads(skeyid)
     tail = gxy + cky_i + cky_r
-    skeyid_d = prf(skeyid, tail + b"\x00")
-    skeyid_a = prf(skeyid, skeyid_d + tail + b"\x01")
-    skeyid_e = prf(skeyid, skeyid_a + tail + b"\x02")
-    return SkeyidBundle(skeyid, skeyid_d, skeyid_a, skeyid_e)
+    keys = [skeyid]
+    prev = b""   # SKEYID_d chains no earlier sub-key
+    for index in (b"\x00", b"\x01", b"\x02"):
+        inner = hashlib.sha256(ipad + prev + tail + index).digest()
+        prev = hashlib.sha256(opad + inner).digest()
+        keys.append(prev)
+    return SkeyidBundle(*keys)
 
 
 def compute_hash(skeyid: bytes, gx_signer: bytes, gx_peer: bytes,

@@ -32,7 +32,6 @@ Verdict rules (fixed, mechanical — never hand-set):
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import socket
 import types
@@ -52,7 +51,6 @@ from .errors import (
 )
 from .protocol import (
     CERT_ENCODING_SEALED,
-    ID_TYPE_FQDN,
     Counters,
     HandshakeSession,
     ReplayGuard,
@@ -60,6 +58,7 @@ from .protocol import (
     SessionState,
     Variant,
     auth_opener,
+    id_payload,
     open_chain,
 )
 from .usbkey import (
@@ -416,12 +415,13 @@ class Principal:
 
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
-        """Open this principal's next session; its RNG is keyed by ordinal."""
+        """Open this principal's next session; its RNG is keyed by ordinal.
+        Positional arguments, in field order: keywords cost a dict."""
         session = HandshakeSession(
-            role=self.role, variant=variant, name=self.name,
-            rng=crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
-            group=group, token=self.token, file_identity=self.file_identity,
-            replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate)
+            self.role, variant, self.name,
+            crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
+            group, self.token, self.file_identity, self.replay_guard,
+            disable_dos_gate)
         self.opened += 1
         return session
 
@@ -467,26 +467,24 @@ class _ObserverState:
 def _fold_into(entries: list[dict], entry: dict) -> None:
     """Append ``entry`` with ``count`` 1, or count it on the last entry when
     that agrees on all else and its indexes run on to ``entry``'s ``index``:
-    a run of equal entries costs the report one entry."""
+    a run of equal entries costs the report one entry.  ``entry`` is
+    compared in place, as the last entry reads if it runs on from it."""
     if entries:
         last = entries[-1]
-        count = last["count"]
-        runs_on = {**entry, "count": count}   # the last entry, if entry runs on
-        if "index" in entry:
-            runs_on["index"] -= count
-        if last == runs_on:
+        count = entry["count"] = last["count"]
+        indexed = "index" in entry
+        if indexed:
+            entry["index"] -= count
+        if last == entry:
             last["count"] = count + 1
             return
+        if indexed:
+            entry["index"] += count
     entry["count"] = 1
     entries.append(entry)
 
 
 _FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
-
-
-@functools.lru_cache(maxsize=16)
-def _forged_id(source: str) -> codec.IdBody:
-    return codec.IdBody(ID_TYPE_FQDN, source.encode())
 
 
 def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
@@ -496,7 +494,7 @@ def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
         _FORGED_SA,
         codec.KeBody(rng.randbytes(group.value_size)),
         codec.NonceBody(rng.randbytes(16)),
-        _forged_id(source),
+        id_payload(source)[0],
     ]
     if variant is Variant.BASELINE:
         msg = codec.build_message(rng.randbytes(8), bytes(8), bodies)
@@ -616,7 +614,7 @@ def _run(config: ScenarioConfig,
         takes the datagram and is kept in the transcript; the log shows
         ``label`` instead when given."""
         index = len(transcript)
-        hits = [action for action in tampers if action.message == index]
+        hits = tampers and [a for a in tampers if a.message == index]
         for action in hits:
             wire = tamper_in_flight(wire, action)
         transcript.append((wire, src, dst, kind))

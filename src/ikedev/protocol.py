@@ -176,11 +176,25 @@ def auth_opener(serial: bytes) -> Callable[[bytes], bytes]:
 
 def _ladder_bodies(bodies) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
     """The first SA, KE, nonce and ID bodies, or None if one is missing."""
-    found = {type(body): body for body in reversed(bodies)}
+    found = {}
+    for body in reversed(bodies):   # a loop: a comprehension is a call
+        found[type(body)] = body
     try:
         return found[SaBody], found[KeBody], found[NonceBody], found[IdBody]
     except KeyError:
         return None
+
+
+@functools.lru_cache(maxsize=16)
+def id_payload(name: str) -> tuple[IdBody, bytes]:
+    """The FQDN ID body naming ``name`` and its encoding (what HASH_I or
+    HASH_R covers), one of each for every session and forged packet."""
+    body = IdBody(ID_TYPE_FQDN, name.encode())
+    return body, codec.encode_body(body)
+
+
+# The baseline's CERT body: one object per file identity's certificate.
+_clear_cert = functools.lru_cache(16)(functools.partial(CertBody, CERT_ENCODING_CLEAR))
 
 
 @dataclass(slots=True)
@@ -267,8 +281,7 @@ class HandshakeSession:
         if self.variant is _BASELINE:
             if self.file_identity is None:
                 raise DeviceAbsent(f"{self.name} has no file identity")
-            return [CertBody(CERT_ENCODING_CLEAR,
-                             self.file_identity.certificate.encoded),
+            return [_clear_cert(self.file_identity.certificate.encoded),
                     SigBody(crypto.sign(self.file_identity.signing_key, digest))]
         signature = device_sign(self.token, digest)
         cert_encoded = device_get_certificate(self.token).encoded
@@ -362,7 +375,7 @@ class HandshakeSession:
         self._keypair()
         self.own_nonce = self.rng.randbytes(NONCE_LEN)
         self._sa_offer = codec.DEFAULT_SA_PROPOSAL
-        self._id_i = IdBody(ID_TYPE_FQDN, self.name.encode())
+        self._id_i, _ = id_payload(self.name)
 
         msg = self._ladder_message(SaBody(self._sa_offer), self._id_i, [])
         self.state = _SENT1
@@ -406,13 +419,13 @@ class HandshakeSession:
         self.peer_public = ke.public_value
         self._sa_offer = sa.proposal
         self._id_i = peer_id
-        self._id_r = IdBody(ID_TYPE_FQDN, self.name.encode())
+        self._id_r, id_r_bytes = id_payload(self.name)
         self.skeyid = crypto.derive_skeyid(self.peer_nonce, self.own_nonce,
                                            shared, self.cky_i, self.cky_r)
 
         hash_r = crypto.compute_hash(self.skeyid.skeyid, self.own_public,
                                      self.peer_public, self.cky_r, self.cky_i,
-                                     sa.proposal, codec.encode_body(self._id_r))
+                                     sa.proposal, id_r_bytes)
         reply = self._ladder_message(sa, self._id_r, self._auth_bodies(hash_r))
         self.state = _SENT2
         self._record(op, emitted="msg2")

@@ -448,8 +448,9 @@ def _seeded_random(seed: int, label: str) -> random.Random:
     lambda r: r.randrange(10**30),
     lambda r: r.getstate(),
     lambda r: r.choices(range(1000), k=5),   # keeps a bound r.random
+    lambda r: r.gauss(),   # reads gauss_next, which seeding must leave None
 ], ids=["randbytes", "getrandbits", "random", "randrange", "getstate",
-        "choices"])
+        "choices", "gauss"])
 def test_derive_rng_gives_the_stream_of_a_seeded_random(draw):
     rng, reference = crypto.derive_rng(7, "alpha"), _seeded_random(7, "alpha")
     assert [draw(rng) for _ in range(3)] == [draw(reference) for _ in range(3)]

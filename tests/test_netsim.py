@@ -791,6 +791,53 @@ def test_undecodable_datagram_is_logged_and_traced_once():
                                      "failure": "codec:BadVersion", "count": 1}]
 
 
+# --- folding equal log and trace entries ----------------------------------------
+
+def _log_entry(**changes) -> dict:
+    """A flood packet's message-log entry, as ``transmit`` hands it over."""
+    return {"index": 0, "src": "attacker", "dst": "bob", "kind": "flood",
+            "size": 100, "payloads": ["SA", "KE", "NONCE", "ID"],
+            "blob_bytes": 0, "tampered": False, "delivered": True, **changes}
+
+
+def test_fold_into_counts_a_run_of_equal_entries_on_its_first():
+    entries = []
+    for index in range(3):
+        netsim._fold_into(entries, _log_entry(index=index))
+    assert entries == [{**_log_entry(), "count": 3}]
+
+
+@pytest.mark.parametrize("changes", [
+    {"src": "mallory"}, {"dst": "carol"}, {"kind": "replay"}, {"size": 101},
+    {"payloads": ["SA", "KE", "NONCE"]}, {"blob_bytes": 1},
+    {"tampered": True}, {"delivered": False},
+    {"index": 3},   # a gap: the run reached index 1
+    {"index": 1},   # an index already counted
+], ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()))
+def test_fold_into_starts_a_new_entry_when_one_field_differs(changes):
+    entries = []
+    for index in range(2):
+        netsim._fold_into(entries, _log_entry(index=index))
+    new = _log_entry(**{"index": 2, **changes})
+    netsim._fold_into(entries, dict(new))
+    # the new entry is appended as it was handed over, with count 1
+    assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 1}]
+    # and the next equal entry runs on from it
+    netsim._fold_into(entries, {**new, "index": new["index"] + 1})
+    assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 2}]
+
+
+def test_fold_into_folds_unindexed_entries_on_equality_alone():
+    bad_dev = {"principal": "bob", "op": "responder_on_msg1",
+               "failure": "bad-dev"}
+    replay = {**bad_dev, "failure": "replay"}
+    entries = []
+    for entry in (bad_dev, bad_dev, bad_dev, replay, bad_dev):
+        netsim._fold_into(entries, dict(entry))
+    assert entries == [{**bad_dev, "count": 3}, {**replay, "count": 1},
+                       {**bad_dev, "count": 1}]
+
+
 # --- UDP loopback hop -----------------------------------------------------------------
 
 def _token_layout(alice: bool, bob: bool) -> tuple[PrincipalConfig, ...]:

@@ -23,10 +23,19 @@ clock readings split each packet into
 * drain     -- from the step's end to the next forge: the failure trace
                and the principal's totals.
 
-``total`` is their sum.  The figures are medians over the passes of each
-pass's median, in us; the wrappers' own cost falls into the parts equally
-in both trees.  Both trees are imported side by side with
-``tools/gate_parts.py``'s ``load``.
+``total`` is their sum.  The baseline also gets a ``crypto_floor`` row,
+timed after each pass's flood with no ikedev code around it: the crypto
+that its responder cannot skip, called on ``cryptography`` and the
+builtins directly.  That is the Ed25519 sign of a 32-byte digest with the
+responder's key, a ``desk64`` ``pow`` with a 56-bit exponent, and
+``_random.Random.seed`` from a 256-bit int, the Mersenne Twister set-up of
+the session's RNG.  ``responder`` less ``crypto_floor`` is the Python
+around them (with the SHA-256 calls of the SKEYID ladder and HASH_R), as
+``gate_parts``' ``key1_open`` less ``aes_floor`` is for the gated reject.
+
+The figures are medians over the passes of each pass's median, in us; the
+wrappers' own cost falls into the parts equally in both trees.  Both trees
+are imported side by side with ``tools/gate_parts.py``'s ``load``.
 
     python3 tools/matrix_parts.py <other-src>
 
@@ -35,11 +44,13 @@ the ``src/`` of a checkout of the parent commit.  The last line printed is
 a JSON object of the figures.
 """
 
+import _random
 import contextlib
 import gc
 import importlib
 import io
 import json
+import random
 import statistics
 import sys
 from pathlib import Path
@@ -108,8 +119,37 @@ def flood_parts(ike: dict, variant) -> dict[str, float]:
         for part, value in zip(PARTS, spent):
             ns[part].append(value)
         ns["total"].append(sum(spent))
-    return {part: statistics.median(values) / 1e3
-            for part, values in ns.items()}
+    parts = {part: statistics.median(values) / 1e3
+             for part, values in ns.items()}
+    if variant is protocol.Variant.BASELINE:
+        parts["crypto_floor"] = crypto_floor(ike)
+    return parts
+
+
+def crypto_floor(ike: dict) -> float:
+    """Median us over PACKETS rounds of the baseline responder's crypto,
+    called on ``cryptography`` and the builtins with no ikedev code around
+    it: sign, ``desk64`` ``pow`` and Mersenne Twister seeding."""
+    netsim, protocol = ike["netsim"], ike["protocol"]
+    bob = netsim.build_principals(
+        netsim._deployment(SEED), protocol.Variant.BASELINE,
+        netsim.ScenarioConfig().principals)["bob"]
+    key = bob.file_identity.signing_key
+    group = ike["crypto"].DESK_GROUP
+    inputs = random.Random(f"matrix-parts|{SEED}")
+    twister = random.Random()
+    ns = []
+    for _ in range(PACKETS):
+        digest = inputs.randbytes(32)
+        base = inputs.randrange(2, group.p - 1)
+        exponent = inputs.getrandbits(group.exponent_bits)
+        seed = inputs.getrandbits(256)
+        t0 = perf_counter_ns()
+        key.sign(digest)
+        pow(base, exponent, group.p)
+        _random.Random.seed(twister, seed)
+        ns.append(perf_counter_ns() - t0)
+    return statistics.median(ns) / 1e3
 
 
 def main(argv: list[str]) -> int:
@@ -136,8 +176,10 @@ def main(argv: list[str]) -> int:
 
     result = {"matrix_ratio_p50": round(statistics.median(ratios), 4)}
     for variant in ("baseline", "improved"):
-        per_pass = {label: {part: [] for part in PARTS + ("total",)}
-                    for label in trees}
+        rows = PARTS + ("total",)
+        if variant == "baseline":
+            rows += ("crypto_floor",)
+        per_pass = {label: {part: [] for part in rows} for label in trees}
         for i in range(PASSES):
             for label in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 ike = trees[label]
@@ -149,7 +191,7 @@ def main(argv: list[str]) -> int:
                            for part, values in parts.items()}
                    for label, parts in per_pass.items()}
         print(f"{variant} flood packet, us {'this':>8} {'other':>8} {'ratio':>7}")
-        for part in PARTS + ("total",):
+        for part in rows:
             this, other = figures["this"][part], figures["other"][part]
             print(f"{part:>24} {this:8.3f} {other:8.3f} {this / other:7.3f}")
         result[variant] = figures
