@@ -32,6 +32,7 @@ Verdict rules (fixed, mechanical — never hand-set):
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import socket
 import types
@@ -40,7 +41,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 from . import codec, crypto
-from .codec import DevBody
+from .codec import DevBody, KeBody, NonceBody
 from .errors import (
     AuthFailure,
     CodecError,
@@ -404,7 +405,7 @@ def observe(msg: codec.IsakmpMessage, token: SecurityToken | None,
 
 @dataclass
 class Principal:
-    """Key material, a replay guard, and the totals of settled sessions."""
+    """Key material, a replay guard, and the totals of its sessions."""
     name: str
     role: Role
     token: SecurityToken | None
@@ -415,13 +416,13 @@ class Principal:
 
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
-        """Open this principal's next session; its RNG is keyed by ordinal.
-        Positional arguments, in field order: keywords cost a dict."""
+        """Open this principal's next session, which adds to its totals; its RNG
+        is keyed by ordinal.  Positional arguments: keywords cost a dict."""
         session = HandshakeSession(
             self.role, variant, self.name,
             crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
             group, self.token, self.file_identity, self.replay_guard,
-            disable_dos_gate)
+            disable_dos_gate, self.counters)
         self.opened += 1
         return session
 
@@ -464,49 +465,71 @@ class _ObserverState:
     findings: list[dict] = field(default_factory=list)
 
 
-def _fold_into(entries: list[dict], entry: dict) -> None:
-    """Append ``entry`` with ``count`` 1, or count it on the last entry when
-    that agrees on all else and its indexes run on to ``entry``'s ``index``:
-    a run of equal entries costs the report one entry.  ``entry`` is
-    compared in place, as the last entry reads if it runs on from it."""
-    if entries:
-        last = entries[-1]
-        count = entry["count"] = last["count"]
-        indexed = "index" in entry
-        if indexed:
-            entry["index"] -= count
-        if last == entry:
-            last["count"] = count + 1
+class _Folded(list):
+    """Report entries in which a run of equal consecutive ones is one entry
+    whose ``count`` says how many; an entry is built only if it starts a
+    run, and one with an ``index`` joins a run only at the index after the
+    run's last.  Each kind's ``add`` takes its entry's fields by keyword."""
+    last = None   # the last entry's values, in ``fields`` order
+
+    def fold(self, values: tuple, index: int | None = None) -> None:
+        if values == self.last and (
+                index is None or index == self[-1]["index"] + self[-1]["count"]):
+            self[-1]["count"] += 1
             return
-        if indexed:
-            entry["index"] += count
-    entry["count"] = 1
-    entries.append(entry)
+        self.last = values
+        entry = {} if index is None else {"index": index}
+        entry.update(zip(self.fields, values), count=1)
+        self.append(entry)
+
+
+class _MessageLog(_Folded):
+    fields = ("src", "dst", "kind", "size", "payloads", "blob_bytes",
+              "tampered", "delivered")
+
+    def add(self, index: int, *, src, dst, kind, size, payloads, blob_bytes,
+            tampered, delivered) -> None:
+        self.fold((src, dst, kind, size, payloads, blob_bytes, tampered,
+                   delivered), index)
+
+
+class _FailureTrace(_Folded):
+    fields = ("principal", "op", "failure")
+
+    def add(self, *, principal, op, failure) -> None:
+        self.fold((principal, op, failure))
 
 
 _FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
 
 
+@functools.lru_cache(maxsize=4)
+def _forged_chain(group: crypto.DhGroup, source: str) -> tuple[bytes, bytes, bytes]:
+    """The forged chain's plaintext around the KE value and nonce each packet
+    draws: cut at placeholders of their sizes, as its framing holds sizes."""
+    ke, nonce = b"\xff" * group.value_size, b"\xfe" * 16
+    bodies = [_FORGED_SA, KeBody(ke), NonceBody(nonce), id_payload(source)[0]]
+    head, rest = codec.serialize_payload_chain(bodies).split(ke, 1)
+    return (head, *rest.split(nonce, 1))
+
+
 def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
                  source: str) -> bytes:
-    """Well-formed message 1 that cost the attacker no key1 and no modexp."""
-    bodies = [
-        _FORGED_SA,
-        codec.KeBody(rng.randbytes(group.value_size)),
-        codec.NonceBody(rng.randbytes(16)),
-        id_payload(source)[0],
-    ]
+    """Well-formed message 1 that cost the attacker no key1 and no modexp;
+    the improved one seals under two keys that are never used again."""
+    ke, nonce = rng.randbytes(group.value_size), rng.randbytes(16)
     if variant is Variant.BASELINE:
-        msg = codec.build_message(rng.randbytes(8), bytes(8), bodies)
+        flags, blob = 0, None
+        bodies = [_FORGED_SA, KeBody(ke), NonceBody(nonce), id_payload(source)[0]]
     else:
         sealed = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                             rng.randbytes(crypto.SERIAL_LEN))
+                             rng.randbytes(crypto.SERIAL_LEN), one_shot=True)
+        head, mid, tail = _forged_chain(group, source)
         blob = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                           codec.serialize_payload_chain(bodies))
-        msg = codec.build_message(rng.randbytes(8), bytes(8), [DevBody(sealed)],
-                                  flags=codec.FLAG_ENCRYPTION,
-                                  encrypted_chain=blob)
-    return codec.encode_message(msg)
+                           head + ke + mid + nonce + tail, one_shot=True)
+        flags, bodies = codec.FLAG_ENCRYPTION, [DevBody(sealed)]
+    return codec.encode_message(codec.IsakmpMessage(
+        rng.randbytes(8), bytes(8), codec.EXCHANGE_AGGRESSIVE, flags, 0, bodies, blob))
 
 
 def _deployment(seed: int) -> DeploymentConfig:
@@ -602,8 +625,7 @@ def _run(config: ScenarioConfig,
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
 
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
-    message_log: list[dict] = []
-    failure_trace: list[dict] = []
+    message_log, failure_trace = _MessageLog(), _FailureTrace()
 
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
@@ -626,18 +648,16 @@ def _run(config: ScenarioConfig,
                 wire, _ = sock.recvfrom(65535)
             except OSError as exc:
                 delivered = False
-                _fold_into(failure_trace, {
-                    "principal": dst, "op": "recv",
-                    "failure": f"udp:{type(exc).__name__}"})
+                failure_trace.add(principal=dst, op="recv",
+                                  failure=f"udp:{type(exc).__name__}")
         decoded = None
         payload_names, blob_bytes = [], 0
         if delivered:
             try:
                 decoded = codec.decode_message(wire)
             except CodecError as exc:
-                _fold_into(failure_trace, {
-                    "principal": dst, "op": "decode",
-                    "failure": f"codec:{type(exc).__name__}"})
+                failure_trace.add(principal=dst, op="decode",
+                                  failure=f"codec:{type(exc).__name__}")
         if decoded is not None:
             payload_names = [codec.PAYLOAD_NAMES[type(body)]
                              for body in decoded.payloads]
@@ -647,12 +667,9 @@ def _run(config: ScenarioConfig,
                     obs.findings.append({"message": index,
                                          "payload": finding.payload,
                                          "hex": finding.plaintext.hex()})
-        _fold_into(message_log, {"index": index, "src": src, "dst": dst,
-                                 "kind": label or kind, "size": len(wire),
-                                 "payloads": payload_names,
-                                 "blob_bytes": blob_bytes,
-                                 "tampered": bool(hits),
-                                 "delivered": delivered})
+        message_log.add(index, src=src, dst=dst, kind=label or kind, size=len(wire),
+                        payloads=payload_names, blob_bytes=blob_bytes,
+                        tampered=bool(hits), delivered=delivered)
         return decoded
 
     def exchange(wire: bytes | None, src: str, dst: str, kind: str,
@@ -662,8 +679,8 @@ def _run(config: ScenarioConfig,
         once back to the session that sent what it answers, until a step
         sends nothing or a datagram is not delivered; with no ``sender`` (a
         flood or a replay) a reply is lost.  ``wire`` None, from a sender
-        that sent nothing, still opens ``dst``'s session.  Drains the
-        sender's session, then ``dst``'s, and returns ``dst``'s."""
+        that sent nothing, still opens ``dst``'s session.  Traces the
+        sender's session's failures, then ``dst``'s, and returns ``dst``'s."""
         msg = None if wire is None else transmit(wire, src, dst, kind, label)
         receiver = principals[dst].new_session(config.variant, seed, group,
                                                config.disable_dos_gate)
@@ -684,10 +701,8 @@ def _run(config: ScenarioConfig,
         for session in (receiver,) if sender is None else (sender, receiver):
             for event in session.events:
                 if event.failure is not None:
-                    _fold_into(failure_trace, {"principal": session.name,
-                                               "op": event.op,
-                                               "failure": event.failure})
-            principals[session.name].counters.merge(session.counters)
+                    failure_trace.add(principal=session.name, op=event.op,
+                                      failure=event.failure)
         return receiver
 
     # The script: floods, then the honest handshake, then replays.
@@ -739,8 +754,8 @@ def _run(config: ScenarioConfig,
                             for name, p in sorted(principals.items())},
         observer_findings=[{"knowledge": obs.knowledge.value, **finding}
                            for obs in observers for finding in obs.findings],
-        failure_trace=failure_trace,
-        message_log=message_log,
+        failure_trace=list(failure_trace),
+        message_log=list(message_log),
         verdicts={},
     )
     has_none_observer = any(

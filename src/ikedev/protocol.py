@@ -99,12 +99,6 @@ class Counters:
     def to_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def merge(self, other: "Counters") -> None:
-        self.dh_ops += other.dh_ops
-        self.sig_verifies += other.sig_verifies
-        self.decrypt_failures += other.decrypt_failures
-        self.messages_rejected_pre_dh += other.messages_rejected_pre_dh
-
 
 class TransitionEvent(NamedTuple):
     op: str
@@ -199,7 +193,8 @@ _clear_cert = functools.lru_cache(16)(functools.partial(CertBody, CERT_ENCODING_
 
 @dataclass(slots=True)
 class HandshakeSession:
-    """Single-owner state machine for one peer of one handshake."""
+    """Single-owner state machine for one peer of one handshake; it adds its
+    costs to ``counters``, its own unless handed its principal's totals."""
 
     role: Role
     variant: Variant
@@ -210,9 +205,9 @@ class HandshakeSession:
     file_identity: FileIdentity | None = None
     replay_guard: ReplayGuard | None = None
     disable_dos_gate: bool = False
+    counters: Counters = field(default_factory=Counters)
 
     state: SessionState = SessionState.IDLE
-    counters: Counters = field(default_factory=Counters)
     events: list[TransitionEvent] = field(default_factory=list)
     failure: str | None = None
     skeyid: crypto.SkeyidBundle | None = None
@@ -266,7 +261,9 @@ class HandshakeSession:
         serial)."""
         bodies = [sa, KeBody(self.own_public), NonceBody(self.own_nonce), own_id]
         if self.variant is _BASELINE:
-            return codec.build_message(self.cky_i, self.cky_r, bodies + auth)
+            bodies += auth
+            return IsakmpMessage(self.cky_i, self.cky_r,
+                                 codec.EXCHANGE_AGGRESSIVE, 0, 0, bodies)
         dev = DevBody(device_encrypt(self.token, self.token.serial))
         blob = device_session_encrypt(
             self.token, self.token.serial, codec.serialize_payload_chain(bodies))
@@ -400,7 +397,7 @@ class HandshakeSession:
             return None
         ladder = _ladder_bodies(bodies)
         if ladder is None:
-            self._reject(op, "malformed", pre_dh=self.counters.dh_ops == 0)
+            self._reject(op, "malformed", pre_dh=not self._exponent)
             return None
         sa, ke, nonce, peer_id = ladder
 

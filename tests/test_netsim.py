@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import requires_loopback_udp
+from conftest import make_rng, requires_loopback_udp
 from ikedev import codec, crypto, netsim, protocol, usbkey
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
@@ -223,19 +223,38 @@ def test_flood_counters_improved():
     assert report.verdicts["dos_prevention"] == netsim.SUPPORTED
 
 
+def test_a_malformed_msg1_after_a_flood_is_rejected_pre_dh():
+    """Whether a reject comes before DH is the session's own fact, not its
+    principal's: after one baseline flood packet has cost bob a DH, a
+    message 1 whose SA header links to ID instead of KE still counts as a
+    pre-DH reject."""
+    sa_next_type = codec.HEADER_LEN   # KE (4) xor 1 is ID (5)
+    report = run_scenario(scenario(
+        variant=Variant.BASELINE,
+        adversary=[Flood(count=1), Tamper(message=1, offset=sa_next_type)]))
+    bob = report.principal_counters["bob"]
+    assert bob["dh_ops"] == 1
+    assert bob["messages_rejected_pre_dh"] == 1
+    assert report.failure_trace == [{"principal": "bob",
+                                     "op": "responder_on_msg1",
+                                     "failure": "malformed", "count": 1}]
+
+
 # The calls a flood packet is charged for, counted through module attributes.
 _FLOOD_CHARGES = ((crypto, "dh_keypair"), (crypto, "dh_shared"),
                   (crypto, "derive_skeyid"), (crypto, "sign"),
                   (crypto, "kdf_session"), (crypto, "open_sealed"),
-                  (codec, "encode_message"))
+                  (crypto, "seal"), (codec, "encode_message"))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_each_flood_packet_pays_what_the_model_charges(monkeypatch, variant):
     """A speedup of the flood path keeps its work: 50 desk64 packets cost
-    the forger one encode each, the baseline responder one keypair, one
+    the forger one encode each, and two seals each (its DEV and its chain)
+    in the improved variant, the baseline responder one keypair, one
     shared secret, one SKEYID ladder and one signature each, and the gated
-    improved responder one failing key1 open each and nothing more."""
+    improved responder one failing key1 open each and nothing more.  The
+    responder seals nothing: a reply to a flood packet is lost unsent."""
     party = ["setup"]               # who makes the calls counted now
     calls = collections.Counter()   # (party, name) and (party, name, "failed")
 
@@ -273,6 +292,9 @@ def test_each_flood_packet_pays_what_the_model_charges(monkeypatch, variant):
                                    adversary=[Flood(count=50)]))
     assert report.flood_sent == 50
     assert calls["forger", "encode_message"] == 50
+    assert calls["forger", "seal"] == (100 if variant is Variant.IMPROVED
+                                       else 0)
+    assert calls["responder", "seal"] == 0
     responder = {name: calls["responder", name] for _, name in _FLOOD_CHARGES}
     if variant is Variant.BASELINE:
         for name in ("dh_keypair", "dh_shared", "derive_skeyid", "sign"):
@@ -282,6 +304,31 @@ def test_each_flood_packet_pays_what_the_model_charges(monkeypatch, variant):
         assert calls["responder", "open_sealed", "failed"] == 50
         for name in ("dh_keypair", "dh_shared", "sign", "kdf_session"):
             assert responder[name] == 0
+
+
+def test_a_flood_evicts_no_cached_cipher():
+    """The forger seals each improved packet under two fresh keys that are
+    never used again; they stay out of the AES-GCM cipher cache, so a key
+    sealed under before a 100-packet flood still has its cipher after it."""
+    key = bytes(range(32))
+    crypto.seal(crypto.AES256GCM, key, make_rng(), b"kept")
+    run_scenario(scenario(variant=Variant.IMPROVED, handshake=False,
+                          adversary=[Flood(count=100)]))
+    misses = crypto._aesgcm.cache_info().misses
+    crypto.seal(crypto.AES256GCM, key, make_rng(), b"kept")
+    assert crypto._aesgcm.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("seed", [424242, 424243])
+def test_an_honest_handshake_builds_one_cipher_per_key(seed):
+    """Of an improved handshake's 16 seals and opens, only the first under
+    each of its five keys (key1, each side's chain key and serial key)
+    builds a cipher: the chain opens and the second CERT/SIG seal hit the
+    cache."""
+    before = crypto._aesgcm.cache_info().misses
+    report = run_scenario(scenario(variant=Variant.IMPROVED, seed=seed))
+    assert report.established is True
+    assert crypto._aesgcm.cache_info().misses - before == 5
 
 
 def test_gate_disabled_flood_loses_dos_protection():
@@ -801,9 +848,9 @@ def _log_entry(**changes) -> dict:
 
 
 def test_fold_into_counts_a_run_of_equal_entries_on_its_first():
-    entries = []
+    entries = netsim._MessageLog()
     for index in range(3):
-        netsim._fold_into(entries, _log_entry(index=index))
+        entries.add(**_log_entry(index=index))
     assert entries == [{**_log_entry(), "count": 3}]
 
 
@@ -815,15 +862,15 @@ def test_fold_into_counts_a_run_of_equal_entries_on_its_first():
     {"index": 1},   # an index already counted
 ], ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()))
 def test_fold_into_starts_a_new_entry_when_one_field_differs(changes):
-    entries = []
+    entries = netsim._MessageLog()
     for index in range(2):
-        netsim._fold_into(entries, _log_entry(index=index))
+        entries.add(**_log_entry(index=index))
     new = _log_entry(**{"index": 2, **changes})
-    netsim._fold_into(entries, dict(new))
+    entries.add(**new)
     # the new entry is appended as it was handed over, with count 1
     assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 1}]
     # and the next equal entry runs on from it
-    netsim._fold_into(entries, {**new, "index": new["index"] + 1})
+    entries.add(**{**new, "index": new["index"] + 1})
     assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 2}]
 
 
@@ -831,9 +878,9 @@ def test_fold_into_folds_unindexed_entries_on_equality_alone():
     bad_dev = {"principal": "bob", "op": "responder_on_msg1",
                "failure": "bad-dev"}
     replay = {**bad_dev, "failure": "replay"}
-    entries = []
+    entries = netsim._FailureTrace()
     for entry in (bad_dev, bad_dev, bad_dev, replay, bad_dev):
-        netsim._fold_into(entries, dict(entry))
+        entries.add(**entry)
     assert entries == [{**bad_dev, "count": 3}, {**replay, "count": 1},
                        {**bad_dev, "count": 1}]
 

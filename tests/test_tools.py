@@ -2,8 +2,9 @@
 
 ``tools/gate_parts.py`` and ``tools/matrix_parts.py`` reach private names of
 ikedev (``build_principals``, ``_deployment``, ``_forged_msg1``,
-``Principal.new_session``, ``HandshakeSession._record``, and a baseline
-principal's ``file_identity.signing_key``), so a change to one of them
+``Principal.new_session``, ``HandshakeSession._record``, a baseline
+principal's ``file_identity.signing_key`` and an improved principal's
+``token._key1``), so a change to one of them
 would break a tool that no other test runs.  These checks load this
 tree the way the tools do and run a few packets through each, with the
 tools' packet counts cut down.
@@ -57,12 +58,14 @@ def test_matrix_parts_splits_a_flood_packet_in_each_variant(tools, monkeypatch):
               clocked(ike["codec"], "decode_message", decode),
               clocked(ike["netsim"].Principal, "new_session", session)):
             parts = matrix_parts.flood_parts(ike, variant)
-        # Only the baseline packet gets a crypto_floor row: its responder's
-        # sign, pow and seeding, timed with no ikedev code around them.
-        floor = {"crypto_floor"} if variant is Variant.BASELINE else set()
-        assert set(parts) == {*matrix_parts.PARTS, "total", *floor}
+        # Each packet gets one floor row, the crypto it cannot skip, timed
+        # with no ikedev code around it: the baseline responder's sign, pow
+        # and seeding, and the improved packet's three AES-GCM calls.
+        floor = ("crypto_floor" if variant is Variant.BASELINE
+                 else "aes_floor")
+        assert set(parts) == {*matrix_parts.PARTS, "total", floor}
         assert all(us >= 0 for us in parts.values())
-        assert parts.get("crypto_floor", 1) > 0
+        assert parts[floor] > 0
         # Each packet is decoded once, inside the span the tool calls
         # ``transmit``: after its forge ends, before its session opens.
         packets = matrix_parts.PACKETS

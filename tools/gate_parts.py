@@ -5,7 +5,10 @@ packets ``netsim`` floods with, and each part of its work is timed apart:
 
 * decode     -- ``codec.decode_message`` of the datagram;
 * derive_rng -- ``crypto.derive_rng`` of the session's RNG;
-* session    -- ``HandshakeSession(...)`` built as ``netsim`` builds it;
+* session    -- ``HandshakeSession(...)`` built with keyword arguments,
+                as perfbench's ``flood-modp2048`` builds it (``netsim``
+                passes its arguments by position and adds its principal's
+                counters);
 * on_msg1    -- ``responder_on_msg1``, which rejects the packet;
 * key1_open  -- ``usbkey.device_decrypt`` of the packet's DEV, which fails
                 (a part of on_msg1, timed again on its own);

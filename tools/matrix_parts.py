@@ -23,14 +23,23 @@ clock readings split each packet into
 * drain     -- from the step's end to the next forge: the failure trace
                and the principal's totals.
 
-``total`` is their sum.  The baseline also gets a ``crypto_floor`` row,
-timed after each pass's flood with no ikedev code around it: the crypto
-that its responder cannot skip, called on ``cryptography`` and the
-builtins directly.  That is the Ed25519 sign of a 32-byte digest with the
-responder's key, a ``desk64`` ``pow`` with a 56-bit exponent, and
-``_random.Random.seed`` from a 256-bit int, the Mersenne Twister set-up of
-the session's RNG.  ``responder`` less ``crypto_floor`` is the Python
-around them (with the SHA-256 calls of the SKEYID ladder and HASH_R), as
+``total`` is their sum.  Each variant also gets a floor row, timed after
+each pass's flood with no ikedev code around it: the crypto that its
+packet cannot skip, called on ``cryptography`` and the builtins directly.
+
+* crypto_floor -- baseline: the Ed25519 sign of a 32-byte digest with the
+                  responder's key, a ``desk64`` ``pow`` with a 56-bit
+                  exponent, and ``_random.Random.seed`` from a 256-bit int,
+                  the Mersenne Twister set-up of the session's RNG;
+* aes_floor    -- improved: the forge's two ``AESGCM(key).encrypt`` calls,
+                  each under a fresh key (its key schedule included), of a
+                  7-byte serial and of a forged chain's plaintext, and the
+                  responder's failing ``decrypt`` of a forged DEV under
+                  key1, whose cipher the responder keeps.
+
+``responder`` less ``crypto_floor`` is the Python around the baseline's
+crypto (with the SHA-256 calls of the SKEYID ladder and HASH_R), and
+``forge`` plus ``responder`` less ``aes_floor`` the improved packet's, as
 ``gate_parts``' ``key1_open`` less ``aes_floor`` is for the gated reject.
 
 The figures are medians over the passes of each pass's median, in us; the
@@ -55,6 +64,9 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter, perf_counter_ns
+
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from gate_parts import ROOT, load  # noqa: E402
@@ -123,6 +135,8 @@ def flood_parts(ike: dict, variant) -> dict[str, float]:
              for part, values in ns.items()}
     if variant is protocol.Variant.BASELINE:
         parts["crypto_floor"] = crypto_floor(ike)
+    else:
+        parts["aes_floor"] = aes_floor(ike)
     return parts
 
 
@@ -152,6 +166,38 @@ def crypto_floor(ike: dict) -> float:
     return statistics.median(ns) / 1e3
 
 
+def aes_floor(ike: dict) -> float:
+    """Median us over PACKETS rounds of the improved packet's AES-GCM,
+    called on ``cryptography`` directly: two seals under fresh keys, of a
+    serial and of a plaintext the size of a forged chain, and the failing
+    open under key1 of a DEV-sized record, what a forged DEV is."""
+    netsim, protocol, codec = ike["netsim"], ike["protocol"], ike["codec"]
+    bob = netsim.build_principals(
+        netsim._deployment(SEED), protocol.Variant.IMPROVED,
+        netsim.ScenarioConfig().principals)["bob"]
+    key1 = AESGCM(bob.token._key1)
+    chain_len = len(codec.serialize_payload_chain([
+        codec.SaBody(codec.DEFAULT_SA_PROPOSAL),
+        codec.KeBody(bytes(ike["crypto"].DESK_GROUP.value_size)),
+        codec.NonceBody(bytes(16)), codec.IdBody(2, b"attacker")]))
+    inputs = random.Random(f"matrix-parts|{SEED}")
+    ns = []
+    for _ in range(PACKETS):
+        keys = inputs.randbytes(32), inputs.randbytes(32)
+        nonces = inputs.randbytes(16), inputs.randbytes(16)
+        serial, chain = inputs.randbytes(7), inputs.randbytes(chain_len)
+        dev = inputs.randbytes(16 + 7 + 16)
+        t0 = perf_counter_ns()
+        AESGCM(keys[0]).encrypt(nonces[0], serial, b"")
+        AESGCM(keys[1]).encrypt(nonces[1], chain, b"")
+        try:
+            key1.decrypt(dev[:16], dev[16:], b"")
+        except InvalidTag:
+            pass
+        ns.append(perf_counter_ns() - t0)
+    return statistics.median(ns) / 1e3
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/matrix_parts.py <other-src>",
@@ -176,9 +222,8 @@ def main(argv: list[str]) -> int:
 
     result = {"matrix_ratio_p50": round(statistics.median(ratios), 4)}
     for variant in ("baseline", "improved"):
-        rows = PARTS + ("total",)
-        if variant == "baseline":
-            rows += ("crypto_floor",)
+        rows = PARTS + ("total", "crypto_floor" if variant == "baseline"
+                                 else "aes_floor")
         per_pass = {label: {part: [] for part in rows} for label in trees}
         for i in range(PASSES):
             for label in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
