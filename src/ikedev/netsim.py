@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import socket
 import types
@@ -465,39 +466,26 @@ class _ObserverState:
     findings: list[dict] = field(default_factory=list)
 
 
-class _Folded(list):
-    """Report entries in which a run of equal consecutive ones is one entry
-    whose ``count`` says how many; an entry is built only if it starts a
-    run, and one with an ``index`` joins a run only at the index after the
-    run's last.  Each kind's ``add`` takes its entry's fields by keyword."""
-    last = None   # the last entry's values, in ``fields`` order
-
-    def fold(self, values: tuple, index: int | None = None) -> None:
-        if values == self.last and (
-                index is None or index == self[-1]["index"] + self[-1]["count"]):
-            self[-1]["count"] += 1
-            return
-        self.last = values
-        entry = {} if index is None else {"index": index}
-        entry.update(zip(self.fields, values), count=1)
-        self.append(entry)
+# The fields of a message-log row and of a failure-trace row, in the order
+# ``_run`` appends them.
+_LOG_FIELDS = ("src", "dst", "kind", "size", "payloads", "blob_bytes",
+               "tampered", "delivered")
+_TRACE_FIELDS = ("principal", "op", "failure")
 
 
-class _MessageLog(_Folded):
-    fields = ("src", "dst", "kind", "size", "payloads", "blob_bytes",
-              "tampered", "delivered")
-
-    def add(self, index: int, *, src, dst, kind, size, payloads, blob_bytes,
-            tampered, delivered) -> None:
-        self.fold((src, dst, kind, size, payloads, blob_bytes, tampered,
-                   delivered), index)
-
-
-class _FailureTrace(_Folded):
-    fields = ("principal", "op", "failure")
-
-    def add(self, *, principal, op, failure) -> None:
-        self.fold((principal, op, failure))
+def _folded(rows: list[tuple], fields: tuple[str, ...],
+            indexed: bool) -> list[dict]:
+    """``rows`` as report entries named by ``fields``: a run of equal
+    consecutive rows is one entry whose ``count`` says how many, and an
+    ``indexed`` entry's ``index`` is the position of its run's first row."""
+    entries: list[dict] = []
+    position = 0
+    for row, run in itertools.groupby(rows):
+        entry = {"index": position} if indexed else {}
+        entry.update(zip(fields, row), count=sum(1 for _ in run))
+        entries.append(entry)
+        position += entry["count"]
+    return entries
 
 
 _FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
@@ -625,7 +613,10 @@ def _run(config: ScenarioConfig,
     tampers = [a for a in config.adversary if isinstance(a, Tamper)]
 
     transcript: list[tuple[bytes, str, str, str]] = []  # wire, src, dst, kind
-    message_log, failure_trace = _MessageLog(), _FailureTrace()
+    # One row per datagram, at its transcript index, and one per failure;
+    # ``_folded`` turns each list into report entries once, at the end.
+    log_rows: list[tuple] = []
+    trace_rows: list[tuple] = []
 
     def transmit(wire: bytes, src: str, dst: str, kind: str,
                  label: str | None = None) -> codec.IsakmpMessage | None:
@@ -648,16 +639,15 @@ def _run(config: ScenarioConfig,
                 wire, _ = sock.recvfrom(65535)
             except OSError as exc:
                 delivered = False
-                failure_trace.add(principal=dst, op="recv",
-                                  failure=f"udp:{type(exc).__name__}")
+                trace_rows.append((dst, "recv", f"udp:{type(exc).__name__}"))
         decoded = None
         payload_names, blob_bytes = [], 0
         if delivered:
             try:
                 decoded = codec.decode_message(wire)
             except CodecError as exc:
-                failure_trace.add(principal=dst, op="decode",
-                                  failure=f"codec:{type(exc).__name__}")
+                trace_rows.append((dst, "decode",
+                                   f"codec:{type(exc).__name__}"))
         if decoded is not None:
             payload_names = [codec.PAYLOAD_NAMES[type(body)]
                              for body in decoded.payloads]
@@ -667,9 +657,8 @@ def _run(config: ScenarioConfig,
                     obs.findings.append({"message": index,
                                          "payload": finding.payload,
                                          "hex": finding.plaintext.hex()})
-        message_log.add(index, src=src, dst=dst, kind=label or kind, size=len(wire),
-                        payloads=payload_names, blob_bytes=blob_bytes,
-                        tampered=bool(hits), delivered=delivered)
+        log_rows.append((src, dst, label or kind, len(wire), payload_names,
+                         blob_bytes, bool(hits), delivered))
         return decoded
 
     def exchange(wire: bytes | None, src: str, dst: str, kind: str,
@@ -701,21 +690,17 @@ def _run(config: ScenarioConfig,
         for session in (receiver,) if sender is None else (sender, receiver):
             for event in session.events:
                 if event.failure is not None:
-                    failure_trace.add(principal=session.name, op=event.op,
-                                      failure=event.failure)
+                    trace_rows.append((session.name, event.op, event.failure))
         return receiver
 
     # The script: floods, then the honest handshake, then replays.
-    flood_sent = 0
+    floods = [a for a in config.adversary if isinstance(a, Flood)]
     attacker_rng = crypto.derive_rng(seed, "adversary")
-    for action in config.adversary:
-        if not isinstance(action, Flood):
-            continue
+    for action in floods:
         for _ in range(action.count):
             wire = _forged_msg1(config.variant, attacker_rng, group,
                                 action.forge_source)
             exchange(wire, action.forge_source, responder.name, "flood")
-            flood_sent += 1
 
     established = skeyid_match = None
     if config.handshake:
@@ -749,13 +734,13 @@ def _run(config: ScenarioConfig,
         seed=seed,
         established=established,
         skeyid_match=skeyid_match,
-        flood_sent=flood_sent,
+        flood_sent=sum(action.count for action in floods),
         principal_counters={name: p.counters.to_dict()
                             for name, p in sorted(principals.items())},
         observer_findings=[{"knowledge": obs.knowledge.value, **finding}
                            for obs in observers for finding in obs.findings],
-        failure_trace=list(failure_trace),
-        message_log=list(message_log),
+        failure_trace=_folded(trace_rows, _TRACE_FIELDS, indexed=False),
+        message_log=_folded(log_rows, _LOG_FIELDS, indexed=True),
         verdicts={},
     )
     has_none_observer = any(

@@ -838,51 +838,67 @@ def test_undecodable_datagram_is_logged_and_traced_once():
                                      "failure": "codec:BadVersion", "count": 1}]
 
 
-# --- folding equal log and trace entries ----------------------------------------
+# --- folding equal log and trace rows ------------------------------------------
 
-def _log_entry(**changes) -> dict:
-    """A flood packet's message-log entry, as ``transmit`` hands it over."""
-    return {"index": 0, "src": "attacker", "dst": "bob", "kind": "flood",
-            "size": 100, "payloads": ["SA", "KE", "NONCE", "ID"],
-            "blob_bytes": 0, "tampered": False, "delivered": True, **changes}
+def _log_row(**changes) -> tuple:
+    """A flood packet's message-log row, as ``transmit`` appends it."""
+    values = {"src": "attacker", "dst": "bob", "kind": "flood", "size": 100,
+              "payloads": ["SA", "KE", "NONCE", "ID"], "blob_bytes": 0,
+              "tampered": False, "delivered": True, **changes}
+    return tuple(values[name] for name in netsim._LOG_FIELDS)
 
 
-def test_fold_into_counts_a_run_of_equal_entries_on_its_first():
-    entries = netsim._MessageLog()
-    for index in range(3):
-        entries.add(**_log_entry(index=index))
-    assert entries == [{**_log_entry(), "count": 3}]
+def _log_entry(index: int, count: int, **changes) -> dict:
+    """The report entry for ``count`` rows ``_log_row(**changes)`` from
+    position ``index`` on."""
+    return {"index": index, **dict(zip(netsim._LOG_FIELDS, _log_row(**changes))),
+            "count": count}
+
+
+def _fold_log(rows: list[tuple]) -> list[dict]:
+    return netsim._folded(rows, netsim._LOG_FIELDS, indexed=True)
+
+
+def test_folded_counts_a_run_of_equal_entries_on_its_first():
+    assert _fold_log([_log_row()] * 3) == [_log_entry(0, 3)]
 
 
 @pytest.mark.parametrize("changes", [
     {"src": "mallory"}, {"dst": "carol"}, {"kind": "replay"}, {"size": 101},
     {"payloads": ["SA", "KE", "NONCE"]}, {"blob_bytes": 1},
     {"tampered": True}, {"delivered": False},
-    {"index": 3},   # a gap: the run reached index 1
-    {"index": 1},   # an index already counted
 ], ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()))
-def test_fold_into_starts_a_new_entry_when_one_field_differs(changes):
-    entries = netsim._MessageLog()
-    for index in range(2):
-        entries.add(**_log_entry(index=index))
-    new = _log_entry(**{"index": 2, **changes})
-    entries.add(**new)
-    # the new entry is appended as it was handed over, with count 1
-    assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 1}]
-    # and the next equal entry runs on from it
-    entries.add(**{**new, "index": new["index"] + 1})
-    assert entries == [{**_log_entry(), "count": 2}, {**new, "count": 2}]
+def test_folded_starts_a_new_entry_when_one_field_differs(changes):
+    rows = [_log_row(), _log_row(), _log_row(**changes)]
+    # the new entry holds its row's fields, with count 1
+    assert _fold_log(rows) == [_log_entry(0, 2), _log_entry(2, 1, **changes)]
+    # and the next equal row runs on from it
+    assert _fold_log(rows + [_log_row(**changes)]) == [
+        _log_entry(0, 2), _log_entry(2, 2, **changes)]
 
 
-def test_fold_into_folds_unindexed_entries_on_equality_alone():
+def test_folded_indexes_an_entry_at_its_runs_first_row():
+    a, b = _log_row(), _log_row(kind="replay")
+    assert _fold_log([a, a, b]) == [_log_entry(0, 2),
+                                    _log_entry(2, 1, kind="replay")]
+
+
+def test_folded_starts_a_new_run_where_an_earlier_row_recurs():
+    a, b = _log_row(), _log_row(kind="replay")
+    assert _fold_log([a, a, b, a]) == [_log_entry(0, 2),
+                                       _log_entry(2, 1, kind="replay"),
+                                       _log_entry(3, 1)]
+
+
+def test_folded_folds_unindexed_entries_on_equality_alone():
     bad_dev = {"principal": "bob", "op": "responder_on_msg1",
                "failure": "bad-dev"}
     replay = {**bad_dev, "failure": "replay"}
-    entries = netsim._FailureTrace()
-    for entry in (bad_dev, bad_dev, bad_dev, replay, bad_dev):
-        entries.add(**entry)
-    assert entries == [{**bad_dev, "count": 3}, {**replay, "count": 1},
-                       {**bad_dev, "count": 1}]
+    rows = [tuple(entry[name] for name in netsim._TRACE_FIELDS)
+            for entry in (bad_dev, bad_dev, bad_dev, replay, bad_dev)]
+    assert netsim._folded(rows, netsim._TRACE_FIELDS, indexed=False) == [
+        {**bad_dev, "count": 3}, {**replay, "count": 1},
+        {**bad_dev, "count": 1}]
 
 
 # --- UDP loopback hop -----------------------------------------------------------------

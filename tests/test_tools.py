@@ -2,12 +2,11 @@
 
 ``tools/gate_parts.py`` and ``tools/matrix_parts.py`` reach private names of
 ikedev (``build_principals``, ``_deployment``, ``_forged_msg1``,
-``Principal.new_session``, ``HandshakeSession._record``, a baseline
-principal's ``file_identity.signing_key`` and an improved principal's
-``token._key1``), so a change to one of them
-would break a tool that no other test runs.  These checks load this
-tree the way the tools do and run a few packets through each, with the
-tools' packet counts cut down.
+``Principal.new_session`` and ``HandshakeSession._record``; their floor
+rows sign and open under keys the tools draw themselves), so a change to
+one of them would break a tool that no other test runs.  These checks load
+this tree the way the tools do and run a few packets through each, with
+the tools' packet counts cut down.
 """
 
 import importlib
@@ -15,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ikedev import netsim
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 PACKAGE = "ikedev_tools_smoke"
@@ -73,3 +74,15 @@ def test_matrix_parts_splits_a_flood_packet_in_each_variant(tools, monkeypatch):
         for i in range(packets):
             assert forge[2 * i + 1] <= decode[2 * i]
             assert decode[2 * i + 1] <= session[2 * i]
+
+
+def test_report_digest_refuses_a_tree_without_scenarios(tmp_path, monkeypatch):
+    # A digest without the scenario part would pass for a whole one.  The
+    # battery is cut to nothing, so a tool that goes on returns at once.
+    monkeypatch.syspath_prepend(str(TOOLS))
+    report_digest = importlib.import_module("report_digest")
+    monkeypatch.setattr(report_digest, "ROOT", tmp_path)
+    monkeypatch.setattr(netsim, "battery_configs", lambda *args: [])
+    with pytest.raises(SystemExit) as exit_:
+        report_digest.main()
+    assert str(tmp_path / "scenarios") in str(exit_.value.code)

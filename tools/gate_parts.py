@@ -14,9 +14,10 @@ packets ``netsim`` floods with, and each part of its work is timed apart:
                 (a part of on_msg1, timed again on its own);
 * record     -- ``HandshakeSession._record`` of the reject on a fresh
                 session (also a part of on_msg1);
-* aes_floor  -- the failing ``AESGCM.decrypt`` of the same DEV under key1,
-                called on ``cryptography`` directly: what key1_open would
-                cost with no Python of ikedev around it.
+* aes_floor  -- the failing ``AESGCM.decrypt`` of the same DEV under a
+                key the tool draws itself (a failing open costs the same
+                under any key), called on ``cryptography`` directly: what
+                key1_open would cost with no Python of ikedev around it.
 
 ``total`` is decode + derive_rng + session + on_msg1, the responder's whole
 cost of one forged packet.  Both trees are imported side by side, each
@@ -79,11 +80,11 @@ class Tree:
             netsim._deployment(SEED), protocol.Variant.IMPROVED,
             netsim.ScenarioConfig().principals)
         self.bob = principals["bob"]
-        self.key1_aead = AESGCM(self.bob.token._key1)
         attacker = random.Random(f"gate-parts|{SEED}")
         self.packets = [netsim._forged_msg1(protocol.Variant.IMPROVED, attacker,
                                             self.group, "mallory")
                         for _ in range(PACKETS)]
+        self.floor_aead = AESGCM(attacker.randbytes(32))
         self.opened = 0
 
     def session(self, rng):
@@ -125,7 +126,7 @@ class Tree:
         nonce, rest = sealed[:codec.DEV_NONCE_LEN], sealed[codec.DEV_NONCE_LEN:]
         t9 = perf_counter_ns()
         try:
-            self.key1_aead.decrypt(nonce, rest, b"")
+            self.floor_aead.decrypt(nonce, rest, b"")
         except InvalidTag:
             pass
         t10 = perf_counter_ns()

@@ -27,15 +27,18 @@ clock readings split each packet into
 each pass's flood with no ikedev code around it: the crypto that its
 packet cannot skip, called on ``cryptography`` and the builtins directly.
 
-* crypto_floor -- baseline: the Ed25519 sign of a 32-byte digest with the
-                  responder's key, a ``desk64`` ``pow`` with a 56-bit
-                  exponent, and ``_random.Random.seed`` from a 256-bit int,
-                  the Mersenne Twister set-up of the session's RNG;
+* crypto_floor -- baseline: the Ed25519 sign of a 32-byte digest, a
+                  ``desk64`` ``pow`` with a 56-bit exponent, and
+                  ``_random.Random.seed`` from a 256-bit int, the Mersenne
+                  Twister set-up of the session's RNG;
 * aes_floor    -- improved: the forge's two ``AESGCM(key).encrypt`` calls,
                   each under a fresh key (its key schedule included), of a
                   7-byte serial and of a forged chain's plaintext, and the
-                  responder's failing ``decrypt`` of a forged DEV under
-                  key1, whose cipher the responder keeps.
+                  responder's failing ``decrypt`` of a forged DEV under one
+                  kept cipher, as the responder keeps key1's.
+
+Each floor signs or opens under keys it draws itself: an Ed25519 sign and
+a failing AES-GCM open cost the same under any key.
 
 ``responder`` less ``crypto_floor`` is the Python around the baseline's
 crypto (with the SHA-256 calls of the SKEYID ladder and HASH_R), and
@@ -66,6 +69,7 @@ from pathlib import Path
 from time import perf_counter, perf_counter_ns
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -144,13 +148,9 @@ def crypto_floor(ike: dict) -> float:
     """Median us over PACKETS rounds of the baseline responder's crypto,
     called on ``cryptography`` and the builtins with no ikedev code around
     it: sign, ``desk64`` ``pow`` and Mersenne Twister seeding."""
-    netsim, protocol = ike["netsim"], ike["protocol"]
-    bob = netsim.build_principals(
-        netsim._deployment(SEED), protocol.Variant.BASELINE,
-        netsim.ScenarioConfig().principals)["bob"]
-    key = bob.file_identity.signing_key
     group = ike["crypto"].DESK_GROUP
     inputs = random.Random(f"matrix-parts|{SEED}")
+    key = Ed25519PrivateKey.from_private_bytes(inputs.randbytes(32))
     twister = random.Random()
     ns = []
     for _ in range(PACKETS):
@@ -170,17 +170,15 @@ def aes_floor(ike: dict) -> float:
     """Median us over PACKETS rounds of the improved packet's AES-GCM,
     called on ``cryptography`` directly: two seals under fresh keys, of a
     serial and of a plaintext the size of a forged chain, and the failing
-    open under key1 of a DEV-sized record, what a forged DEV is."""
-    netsim, protocol, codec = ike["netsim"], ike["protocol"], ike["codec"]
-    bob = netsim.build_principals(
-        netsim._deployment(SEED), protocol.Variant.IMPROVED,
-        netsim.ScenarioConfig().principals)["bob"]
-    key1 = AESGCM(bob.token._key1)
+    open under one kept cipher of a DEV-sized record, what a forged DEV is
+    under key1."""
+    codec = ike["codec"]
+    inputs = random.Random(f"matrix-parts|{SEED}")
+    kept = AESGCM(inputs.randbytes(32))
     chain_len = len(codec.serialize_payload_chain([
         codec.SaBody(codec.DEFAULT_SA_PROPOSAL),
         codec.KeBody(bytes(ike["crypto"].DESK_GROUP.value_size)),
         codec.NonceBody(bytes(16)), codec.IdBody(2, b"attacker")]))
-    inputs = random.Random(f"matrix-parts|{SEED}")
     ns = []
     for _ in range(PACKETS):
         keys = inputs.randbytes(32), inputs.randbytes(32)
@@ -191,7 +189,7 @@ def aes_floor(ike: dict) -> float:
         AESGCM(keys[0]).encrypt(nonces[0], serial, b"")
         AESGCM(keys[1]).encrypt(nonces[1], chain, b"")
         try:
-            key1.decrypt(dev[:16], dev[16:], b"")
+            kept.decrypt(dev[:16], dev[16:], b"")
         except InvalidTag:
             pass
         ns.append(perf_counter_ns() - t0)

@@ -15,7 +15,8 @@ Run from anywhere; it imports ikedev from this checkout's ``src/``:
 
     python3 tools/report_digest.py
 
-It takes about a minute and a half.
+It takes about a minute and a half.  With no ``scenarios/*.json`` it exits
+1 before running anything, rather than print a digest that leaves them out.
 """
 
 import dataclasses
@@ -31,6 +32,10 @@ from ikedev.protocol import Variant  # noqa: E402
 
 
 def main() -> None:
+    scenarios = sorted((ROOT / "scenarios").glob("*.json"))
+    if not scenarios:
+        sys.exit(f"error: no *.json in {ROOT / 'scenarios'}; "
+                 "the digest would leave the scenarios out")
     reports = hashlib.sha256()
     wire = hashlib.sha256()
     baseline_wire = hashlib.sha256()
@@ -53,7 +58,7 @@ def main() -> None:
                         reports.update(netsim.run_scenario(cfg).to_json())
     finally:
         codec.encode_message = encode
-    for path in sorted((ROOT / "scenarios").glob("*.json")):
+    for path in scenarios:
         for seed in range(20):
             cfg = dataclasses.replace(netsim.load_scenario(str(path)), seed=seed)
             reports.update(netsim.run_scenario(cfg).to_json())
