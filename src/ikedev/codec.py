@@ -16,7 +16,6 @@ named codec errors, never an uncontrolled exception.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -177,9 +176,8 @@ _BODY_CODECS = {
               lambda body: bytes([DEV_FORMAT_VERSION]) + body.sealed),
 }
 
-# Each body class's payload name, as the message log spells it, and type code.
+# Each body class's payload name, as the message log spells it.
 PAYLOAD_NAMES = {cls: ptype.name for cls, (ptype, _) in _BODY_CODECS.items()}
-_TYPE_CODES = {cls: int(ptype) for cls, (ptype, _) in _BODY_CODECS.items()}
 
 
 def encode_body(body: Body) -> bytes:
@@ -191,12 +189,11 @@ def encode_body(body: Body) -> bytes:
 
 
 # Body parsers by type code; a body type's own checks are the size rules.
-# SA proposals and IDs repeat, so each of the last few parsed is kept.
 _BODY_PARSERS = {
-    PayloadType.SA: functools.lru_cache(maxsize=16)(SaBody),
+    PayloadType.SA: SaBody,
     PayloadType.KE: KeBody,
     PayloadType.NONCE: NonceBody,
-    PayloadType.ID: functools.lru_cache(maxsize=16)(lambda d: IdBody(d[0], d[1:])),
+    PayloadType.ID: lambda data: IdBody(data[0], data[1:]),
     PayloadType.CERT: lambda data: CertBody(data[0], data[1:]),
     PayloadType.SIG: SigBody,
     PayloadType.DEV: lambda data: DevBody(data[1:]),
@@ -213,7 +210,7 @@ def _encode_chain(bodies: list[Body]) -> tuple[int, bytes]:
     that type is known."""
     parts, first, data = [], 0, None   # data: the last body's bytes, header due
     for body in bodies:
-        code = _TYPE_CODES[type(body)]
+        code = _BODY_CODECS[type(body)][0]
         if data is None:
             first = code
         else:

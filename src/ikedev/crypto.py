@@ -327,18 +327,15 @@ AES256GCM = AeadSuite(name="aes256gcm", key_size=32, nonce_size=16, tag_size=16)
 
 
 # An AESGCM is a stateless function of its key, so one per key serves every
-# call and its key schedule (~2 us) is built once.  Bounded, and a key sealed
-# under only once (``seal``'s ``one_shot``) never enters it.
+# call and its key schedule (~2 us) is built once.  Bounded.
 _aesgcm = functools.lru_cache(maxsize=64)(AESGCM)
 
 
-def seal(suite: AeadSuite, key: bytes, rng: random.Random, plaintext: bytes,
-         *, one_shot: bool = False) -> bytes:
-    """Encrypt with a fresh random nonce; returns nonce || ciphertext || tag.
-    A ``one_shot`` key, never used again, is kept out of the cipher cache."""
+def seal(suite: AeadSuite, key: bytes, rng: random.Random,
+         plaintext: bytes) -> bytes:
+    """Encrypt with a fresh random nonce; returns nonce || ciphertext || tag."""
     nonce = rng.randbytes(suite.nonce_size)
-    cipher = AESGCM(key) if one_shot else _aesgcm(key)
-    return nonce + cipher.encrypt(nonce, plaintext, b"")
+    return nonce + _aesgcm(key).encrypt(nonce, plaintext, b"")
 
 
 def open_sealed(suite: AeadSuite, key: bytes, blob: bytes) -> bytes:

@@ -511,10 +511,10 @@ def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
         bodies = [_FORGED_SA, KeBody(ke), NonceBody(nonce), id_payload(source)[0]]
     else:
         sealed = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                             rng.randbytes(crypto.SERIAL_LEN), one_shot=True)
+                             rng.randbytes(crypto.SERIAL_LEN))
         head, mid, tail = _forged_chain(group, source)
         blob = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                           head + ke + mid + nonce + tail, one_shot=True)
+                           head + ke + mid + nonce + tail)
         flags, bodies = codec.FLAG_ENCRYPTION, [DevBody(sealed)]
     return codec.encode_message(codec.IsakmpMessage(
         rng.randbytes(8), bytes(8), codec.EXCHANGE_AGGRESSIVE, flags, 0, bodies, blob))

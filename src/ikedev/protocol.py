@@ -187,10 +187,6 @@ def id_payload(name: str) -> tuple[IdBody, bytes]:
     return body, codec.encode_body(body)
 
 
-# The baseline's CERT body: one object per file identity's certificate.
-_clear_cert = functools.lru_cache(16)(functools.partial(CertBody, CERT_ENCODING_CLEAR))
-
-
 @dataclass(slots=True)
 class HandshakeSession:
     """Single-owner state machine for one peer of one handshake; it adds its
@@ -278,7 +274,8 @@ class HandshakeSession:
         if self.variant is _BASELINE:
             if self.file_identity is None:
                 raise DeviceAbsent(f"{self.name} has no file identity")
-            return [_clear_cert(self.file_identity.certificate.encoded),
+            return [CertBody(CERT_ENCODING_CLEAR,
+                             self.file_identity.certificate.encoded),
                     SigBody(crypto.sign(self.file_identity.signing_key, digest))]
         signature = device_sign(self.token, digest)
         cert_encoded = device_get_certificate(self.token).encoded

@@ -1,4 +1,3 @@
-import random
 import socket
 
 import pytest
@@ -86,10 +85,6 @@ def drive_handshake(ini: HandshakeSession, rsp: HandshakeSession,
 @pytest.fixture
 def handshake():
     return drive_handshake
-
-
-def make_rng(seed: int = 0) -> random.Random:
-    return random.Random(seed)
 
 
 def _loopback_udp_available() -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_rng, requires_loopback_udp
+from conftest import requires_loopback_udp
 from ikedev import codec, crypto, netsim, protocol, usbkey
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
@@ -306,19 +306,6 @@ def test_each_flood_packet_pays_what_the_model_charges(monkeypatch, variant):
             assert responder[name] == 0
 
 
-def test_a_flood_evicts_no_cached_cipher():
-    """The forger seals each improved packet under two fresh keys that are
-    never used again; they stay out of the AES-GCM cipher cache, so a key
-    sealed under before a 100-packet flood still has its cipher after it."""
-    key = bytes(range(32))
-    crypto.seal(crypto.AES256GCM, key, make_rng(), b"kept")
-    run_scenario(scenario(variant=Variant.IMPROVED, handshake=False,
-                          adversary=[Flood(count=100)]))
-    misses = crypto._aesgcm.cache_info().misses
-    crypto.seal(crypto.AES256GCM, key, make_rng(), b"kept")
-    assert crypto._aesgcm.cache_info().misses == misses
-
-
 @pytest.mark.parametrize("seed", [424242, 424243])
 def test_an_honest_handshake_builds_one_cipher_per_key(seed):
     """Of an improved handshake's 16 seals and opens, only the first under
@@ -448,6 +435,23 @@ def test_blob_fallback_flips_the_offset_byte_of_the_blob():
     with pytest.raises(SelectorMiss):   # offset beyond the blob
         tamper_in_flight(improved[0], Tamper(message=0, payload="SA",
                                              offset=len(improved[0])))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_certificate_whose_self_signature_is_corrupted_fails_cert(seed):
+    """Message 2's CERT body is the encoding byte, then the certificate, so
+    an offset of the certificate's length flips the last byte of Bob's
+    self-signature.  The key, the subject and HASH_R's signature are all
+    intact: only ``verify_certificate`` turns the run away."""
+    cert_len = len(usbkey.make_file_identity(
+        "bob", bytes(32)).certificate.encoded)
+    report = run_scenario(scenario(
+        variant=Variant.BASELINE, seed=seed,
+        adversary=[Tamper(message=1, payload="CERT", offset=cert_len)]))
+    assert report.established is False
+    assert report.failure_trace == [{"principal": "alice",
+                                     "op": "initiator_on_msg2",
+                                     "failure": "cert", "count": 1}]
 
 
 @pytest.fixture

@@ -577,6 +577,20 @@ def test_improved_cert_splice_fails_at_unsealing(fleet):
     assert ini.counters.decrypt_failures == 1
 
 
+def test_improved_cert_bound_to_another_serial_fails_cert():
+    """Bob's device holds a certificate bound to another serial, while its
+    DEV and chain carry his own: his certificate, key and signature are all
+    genuine, so only the serial binding turns him away."""
+    fleet = Fleet(seed=1)
+    token = usbkey.create_token(b"\x01" * 7, fleet.deployment, "bob")
+    token.serial = fleet.serials["bob"]
+    fleet.tokens["bob"] = token
+    ini, rsp = fleet.pair(Variant.IMPROVED)
+    drive_handshake(ini, rsp)
+    assert ini.failure == "cert"
+    assert ini.counters.sig_verifies == 0
+
+
 # --- replay of later messages -------------------------------------------------------
 
 @pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
