@@ -292,20 +292,20 @@ def compute_hash(skeyid: bytes, gx_signer: bytes, gx_peer: bytes,
 # Key derivation for the device-gated variant
 # ---------------------------------------------------------------------------
 
-def _check_serial(serial: bytes) -> None:
+def check_serial(serial: bytes) -> None:
     if len(serial) != SERIAL_LEN:
         raise InvalidSerialLength(f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
 
 
 def kdf_serial(serial: bytes) -> bytes:
     """Stretch a 7-byte device serial to a full-width cipher key."""
-    _check_serial(serial)
+    check_serial(serial)
     return prf(b"ikedev/serial-key/v1", serial)
 
 
 def kdf_session(key1: bytes, serial: bytes) -> bytes:
     """Per-sender chain key binding the fleet secret to one device serial."""
-    _check_serial(serial)
+    check_serial(serial)
     return prf(key1, b"ikedev/session-key/v1" + serial)
 
 

@@ -418,12 +418,13 @@ class Principal:
     def new_session(self, variant: Variant, seed: int, group: crypto.DhGroup,
                     disable_dos_gate: bool = False) -> HandshakeSession:
         """Open this principal's next session, which adds to its totals; its RNG
-        is keyed by ordinal.  Positional arguments: keywords cost a dict."""
+        is keyed by ordinal."""
         session = HandshakeSession(
-            self.role, variant, self.name,
-            crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
-            group, self.token, self.file_identity, self.replay_guard,
-            disable_dos_gate, self.counters)
+            role=self.role, variant=variant, name=self.name,
+            rng=crypto.derive_rng(seed, f"session|{self.name}|{self.opened}"),
+            group=group, token=self.token, file_identity=self.file_identity,
+            replay_guard=self.replay_guard, disable_dos_gate=disable_dos_gate,
+            counters=self.counters)
         self.opened += 1
         return session
 

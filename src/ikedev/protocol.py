@@ -117,14 +117,13 @@ _event = functools.cache(TransitionEvent)
 
 
 class ReplayGuard:
-    """Bounded LRU set of seen DEV nonces with test-and-insert.
+    """LRU set of the last ``REPLAY_WINDOW`` DEV nonces, with test-and-insert.
 
     Shared by all of one responder's sessions, which run in one thread;
     everything else in a session is single-owner.
     """
 
-    def __init__(self, capacity: int = REPLAY_WINDOW):
-        self.capacity = capacity
+    def __init__(self):
         self._seen: OrderedDict[bytes, None] = OrderedDict()
 
     def recall(self, nonce: bytes) -> bool:
@@ -138,7 +137,7 @@ class ReplayGuard:
         if self.recall(nonce):
             return True
         self._seen[nonce] = None
-        if len(self._seen) > self.capacity:
+        if len(self._seen) > REPLAY_WINDOW:
             self._seen.popitem(last=False)
         return False
 
@@ -179,10 +178,9 @@ def _ladder_bodies(bodies) -> tuple[SaBody, KeBody, NonceBody, IdBody] | None:
         return None
 
 
-@functools.lru_cache(maxsize=16)
 def id_payload(name: str) -> tuple[IdBody, bytes]:
     """The FQDN ID body naming ``name`` and its encoding (what HASH_I or
-    HASH_R covers), one of each for every session and forged packet."""
+    HASH_R covers)."""
     body = IdBody(ID_TYPE_FQDN, name.encode())
     return body, codec.encode_body(body)
 
@@ -260,9 +258,9 @@ class HandshakeSession:
             bodies += auth
             return IsakmpMessage(self.cky_i, self.cky_r,
                                  codec.EXCHANGE_AGGRESSIVE, 0, 0, bodies)
-        dev = DevBody(device_encrypt(self.token, self.token.serial))
-        blob = device_session_encrypt(
-            self.token, self.token.serial, codec.serialize_payload_chain(bodies))
+        dev = DevBody(device_encrypt(self.token))
+        blob = device_session_encrypt(self.token,
+                                      codec.serialize_payload_chain(bodies))
         return codec.build_message(self.cky_i, self.cky_r, [dev] + auth,
                                    flags=codec.FLAG_ENCRYPTION,
                                    encrypted_chain=blob)

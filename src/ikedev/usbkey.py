@@ -8,6 +8,10 @@ fixed host-access policy (manager regions are sealed, the virtual CD is
 read-only, the user region is read-write).  That policy decides the
 ``certificate_storage`` cell, through :func:`host_reads_signing_key`.
 
+A device seals only its own serial, as its DEV record, and only under its
+own chain key, so a token holder cannot claim another device's serial.  An
+insider who extracted key1 from a device still can.
+
 Module-level ``device_*`` functions accept ``None`` for principals that
 carry no device and raise :class:`~ikedev.errors.DeviceAbsent`, which is
 how a negotiation stop on a missing device is modelled.
@@ -23,12 +27,7 @@ from enum import Enum
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import crypto
-from .errors import (
-    BadLength,
-    DeviceAbsent,
-    InvalidSerialLength,
-    PermissionDenied,
-)
+from .errors import BadLength, DeviceAbsent, PermissionDenied
 
 SERIAL_LEN = crypto.SERIAL_LEN
 
@@ -159,9 +158,7 @@ def create_token(serial: bytes, deployment: DeploymentConfig,
                  subject: str) -> SecurityToken:
     """Provision one device: fresh keypair, self-contained certificate,
     regions initialised per the access-policy table."""
-    if len(serial) != SERIAL_LEN:
-        raise InvalidSerialLength(
-            f"serial must be {SERIAL_LEN} bytes, got {len(serial)}")
+    crypto.check_serial(serial)
     private = hashlib.sha256(
         b"ikedev/token-keygen|%d|" % deployment.seed + serial).digest()
     signing_key, public = crypto.signature_keypair(private)
@@ -193,12 +190,10 @@ def device_get_certificate(token: SecurityToken | None) -> Certificate:
     return _require(token).certificate
 
 
-def device_encrypt(token: SecurityToken | None, plaintext: bytes) -> bytes:
-    """Seal ``plaintext`` under key1."""
+def device_encrypt(token: SecurityToken | None) -> bytes:
+    """Seal the device's own serial under key1: its DEV record."""
     token = _require(token)
-    if not plaintext:
-        raise ValueError("plaintext must be non-empty")
-    return crypto.seal(crypto.AES256GCM, token._key1, token._rng, plaintext)
+    return crypto.seal(crypto.AES256GCM, token._key1, token._rng, token.serial)
 
 
 def device_decrypt(token: SecurityToken | None, ciphertext: bytes) -> bytes:
@@ -208,15 +203,15 @@ def device_decrypt(token: SecurityToken | None, ciphertext: bytes) -> bytes:
     return crypto.open_sealed(crypto.AES256GCM, token._key1, ciphertext)
 
 
-def device_session_encrypt(token: SecurityToken | None, serial: bytes,
+def device_session_encrypt(token: SecurityToken | None,
                            plaintext: bytes) -> bytes:
-    """Seal under the kdf_session(key1, serial) chain key.
+    """Seal under the device's own chain key, kdf_session(key1, serial).
 
-    Computed on-device so key1 never leaves; ``serial`` is the sender's
-    serial as carried in the same message's device payload.
+    Computed on-device so key1 never leaves; a peer opens it with the
+    serial carried in the same message's device payload.
     """
     token = _require(token)
-    key = crypto.kdf_session(token._key1, serial)
+    key = crypto.kdf_session(token._key1, token.serial)
     return crypto.seal(crypto.AES256GCM, key, token._rng, plaintext)
 
 

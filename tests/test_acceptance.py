@@ -220,10 +220,10 @@ def test_acceptance_6_codec_robustness():
             bodies = [_random_body(rng) for _ in range(rng.randint(1, 6))]
             blob = rng.randbytes(rng.randint(33, 96)) if rng.random() < 0.5 \
                 else None
-            msg = codec.build_message(
-                rng.randbytes(8), rng.randbytes(8), bodies,
-                flags=codec.FLAG_ENCRYPTION if blob is not None else 0,
-                message_id=rng.randrange(2**32), encrypted_chain=blob)
+            msg = codec.IsakmpMessage(
+                rng.randbytes(8), rng.randbytes(8), codec.EXCHANGE_AGGRESSIVE,
+                codec.FLAG_ENCRYPTION if blob is not None else 0,
+                rng.randrange(2**32), bodies, blob)
             wire = codec.encode_message(msg)
             assert codec.decode_message(wire) == msg
             seeds_last_wire = wire  # feeds the mutation fuzz below
@@ -246,7 +246,7 @@ def test_acceptance_6_codec_robustness():
         # DEV wire byte + sealed serial length
         deployment = usbkey.DeploymentConfig(key1=rng.randbytes(32), seed=6)
         token = usbkey.create_token(b"SN00001", deployment, "probe")
-        dev = DevBody.from_sealed(usbkey.device_encrypt(token, token.serial))
+        dev = DevBody.from_sealed(usbkey.device_encrypt(token))
         wire = codec.encode_message(
             codec.build_message(b"A" * 8, b"\x00" * 8, [dev]))
         assert wire[16] == 55

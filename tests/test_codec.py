@@ -93,10 +93,10 @@ def body_strategy():
 
 def message_strategy():
     return st.builds(
-        lambda cky_i, cky_r, bodies, blob, mid: codec.build_message(
-            cky_i, cky_r, bodies,
-            flags=codec.FLAG_ENCRYPTION if blob is not None else 0,
-            message_id=mid, encrypted_chain=blob),
+        lambda cky_i, cky_r, bodies, blob, mid: codec.IsakmpMessage(
+            cky_i, cky_r, codec.EXCHANGE_AGGRESSIVE,
+            codec.FLAG_ENCRYPTION if blob is not None else 0, mid, bodies,
+            blob),
         st.binary(min_size=8, max_size=8),
         st.binary(min_size=8, max_size=8),
         st.lists(body_strategy(), min_size=1, max_size=6),

@@ -17,6 +17,7 @@ from ikedev.codec import CertBody, DevBody, IdBody, KeBody, NonceBody, PayloadTy
 from ikedev.errors import DeviceAbsent, IkeDevError
 from ikedev.protocol import (
     CERT_ENCODING_SEALED,
+    REPLAY_WINDOW,
     ReplayGuard,
     Role,
     SessionState,
@@ -238,9 +239,11 @@ def test_gate_rejects_msg1_without_dev_payload(fleet):
 
 
 def _nine_byte_serial_msg1(fleet: Fleet) -> codec.IsakmpMessage:
-    """A message 1 whose DEV is a genuine key1 seal, but of a 9-byte record."""
+    """A message 1 whose DEV is a genuine key1 seal, but of a 9-byte record,
+    as only an insider who extracted key1 can make it."""
     rng = crypto.derive_rng(5, "x")
-    sealed = device_encrypt(fleet.tokens["alice"], b"AB1234567")
+    sealed = crypto.seal(crypto.AES256GCM, fleet.tokens["alice"]._key1, rng,
+                         b"AB1234567")
     return codec.build_message(
         rng.randbytes(8), b"\x00" * 8, [DevBody.from_sealed(sealed)],
         flags=codec.FLAG_ENCRYPTION, encrypted_chain=rng.randbytes(64))
@@ -390,13 +393,17 @@ def test_replayed_msg1_is_turned_away_before_its_chain_opens(fleet, monkeypatch)
 
 
 def test_replay_guard_lru_eviction():
-    guard = ReplayGuard(capacity=2)
-    assert not guard.seen_before(b"a")
-    assert not guard.seen_before(b"b")
-    assert guard.seen_before(b"a")      # still resident, refreshed
-    assert not guard.seen_before(b"c")  # evicts b
-    assert not guard.seen_before(b"b")  # b was evicted: admitted again
-    assert len(guard) == 2
+    # at the full window, never a shrunk one
+    guard = ReplayGuard()
+    nonces = [i.to_bytes(16, "big") for i in range(REPLAY_WINDOW + 1)]
+    for nonce in nonces[:-1]:
+        assert not guard.seen_before(nonce)
+    assert len(guard) == REPLAY_WINDOW
+    assert guard.seen_before(nonces[0])        # still resident, refreshed
+    assert not guard.seen_before(nonces[-1])   # evicts nonces[1]
+    assert not guard.seen_before(nonces[1])    # was evicted: admitted again
+    assert guard.seen_before(nonces[0])        # the refreshed one stayed
+    assert len(guard) == REPLAY_WINDOW
 
 
 def test_baseline_responder_pays_dh_for_any_well_formed_msg1(fleet):
@@ -434,11 +441,8 @@ def test_improved_rejects_degenerate_public_value_after_gate(fleet):
     bodies = [SaBody(codec.DEFAULT_SA_PROPOSAL),
               KeBody(crypto.DESK_GROUP.encode(1)),
               NonceBody(rng.randbytes(16)), IdBody(2, b"alice")]
-    dev = DevBody.from_sealed(
-        device_encrypt(token, token.serial))
-    blob = device_session_encrypt(
-        token, token.serial,
-        codec.serialize_payload_chain(bodies))
+    dev = DevBody.from_sealed(device_encrypt(token))
+    blob = device_session_encrypt(token, codec.serialize_payload_chain(bodies))
     msg = codec.build_message(rng.randbytes(8), b"\x00" * 8, [dev],
                               flags=codec.FLAG_ENCRYPTION, encrypted_chain=blob)
     assert rsp.responder_on_msg1(msg) is None
@@ -530,10 +534,9 @@ def test_improved_dev_tamper_rejected_at_the_gate(fleet):
 # --- certificate splicing ---------------------------------------------------------
 
 def _resign_chain(msg, new_bodies):
-    return codec.build_message(
-        msg.initiator_cookie, msg.responder_cookie, new_bodies,
-        flags=msg.flags, message_id=msg.message_id,
-        encrypted_chain=msg.encrypted_chain)
+    return codec.IsakmpMessage(
+        msg.initiator_cookie, msg.responder_cookie, msg.exchange_type,
+        msg.flags, msg.message_id, list(new_bodies), msg.encrypted_chain)
 
 
 def test_baseline_cert_splice_caught_by_subject_check(fleet):

@@ -103,10 +103,10 @@ def test_create_token_rejects_bad_serial(deployment):
 def test_absent_device_raises_everywhere():
     for call in (
         lambda: usbkey.device_get_certificate(None),
-        lambda: usbkey.device_encrypt(None, b"x"),
+        lambda: usbkey.device_encrypt(None),
         lambda: usbkey.device_decrypt(None, b"x" * 33),
         lambda: usbkey.device_sign(None, b"x"),
-        lambda: usbkey.device_session_encrypt(None, b"AB12345", b"x"),
+        lambda: usbkey.device_session_encrypt(None, b"x"),
         lambda: usbkey.region_access(None, RegionId.USER_DATA, RegionOp.READ),
     ):
         with pytest.raises(DeviceAbsent):
@@ -115,8 +115,15 @@ def test_absent_device_raises_everywhere():
 
 # --- sealed operations -----------------------------------------------------
 
+def _key1_seal(token, plaintext: bytes) -> bytes:
+    """A seal under the token's key1, as an insider who extracted key1 makes
+    it: the device itself seals only its own serial."""
+    return crypto.seal(crypto.AES256GCM, token._key1,
+                       crypto.derive_rng(7, "insider"), plaintext)
+
+
 def test_key1_seal_opens_on_any_fleet_device(token, peer):
-    blob = usbkey.device_encrypt(token, b"fleet secret")
+    blob = _key1_seal(token, b"fleet secret")
     assert usbkey.device_decrypt(peer, blob) == b"fleet secret"
 
 
@@ -129,22 +136,30 @@ def test_deployment_rejects_a_key1_of_the_wrong_length():
 def test_foreign_deployment_cannot_open_key1_blob(token):
     other = usbkey.DeploymentConfig(key1=b"\x99" * 32, seed=9)
     stranger = usbkey.create_token(b"ZZ99999", other, "mallory")
-    blob = usbkey.device_encrypt(token, b"fleet secret")
+    blob = _key1_seal(token, b"fleet secret")
     with pytest.raises(AuthFailure):
         usbkey.device_decrypt(stranger, blob)
 
 
 def test_session_seal_round_trip_between_fleet_devices(token, peer):
-    blob = usbkey.device_session_encrypt(token, b"AB12345", b"chain bytes")
+    blob = usbkey.device_session_encrypt(token, b"chain bytes")
     assert usbkey.device_session_decrypt(peer, b"AB12345", blob) == b"chain bytes"
     # Session keys are serial-bound: the same blob under the wrong serial fails.
     with pytest.raises(AuthFailure):
         usbkey.device_session_decrypt(peer, b"CD67890", blob)
 
 
-def test_device_encrypt_rejects_empty_plaintext(token):
-    with pytest.raises(ValueError):
-        usbkey.device_encrypt(token, b"")
+def test_a_device_seals_only_its_own_serial(token, peer):
+    # the DEV record is the sealing device's own serial, whoever asks
+    assert usbkey.device_decrypt(peer, usbkey.device_encrypt(token)) \
+        == token.serial
+    # and its chain opens under that serial's key, and under no other
+    blob = usbkey.device_session_encrypt(token, b"chain bytes")
+    assert usbkey.device_session_decrypt(peer, token.serial, blob) \
+        == b"chain bytes"
+    for other in (peer.serial, b"ZZ99999", b"\x00" * usbkey.SERIAL_LEN):
+        with pytest.raises(AuthFailure):
+            usbkey.device_session_decrypt(peer, other, blob)
 
 
 def test_sign_verifies_under_certificate_key(token):
@@ -226,7 +241,7 @@ def test_key_material_never_leaks_through_readable_surfaces(token, deployment):
         for surface in readable:
             assert secret not in surface
         # not even in a sealed blob (AEAD output must not embed the key)
-        blob = usbkey.device_encrypt(token, b"probe")
+        blob = _key1_seal(token, b"probe")
         assert secret not in blob
 
 

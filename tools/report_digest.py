@@ -15,7 +15,7 @@ Run from anywhere; it imports ikedev from this checkout's ``src/``:
 
     python3 tools/report_digest.py
 
-It takes about a minute and a half.  With no ``scenarios/*.json`` it exits
+It takes about 33 s on a 2-vCPU Xeon.  With no ``scenarios/*.json`` it exits
 1 before running anything, rather than print a digest that leaves them out.
 """
 
