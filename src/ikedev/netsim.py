@@ -35,13 +35,17 @@ import contextlib
 import functools
 import itertools
 import json
+import os
+import pickle
 import socket
+import sys
+import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 
-from . import codec, crypto
+from . import codec, crypto, errors
 from .codec import DevBody, KeBody, NonceBody
 from .errors import (
     AuthFailure,
@@ -829,17 +833,99 @@ def battery_configs(variant: Variant, seed: int, disable_dos_gate: bool = False,
     ]
 
 
+def _battery_row(variant: Variant, seed: int, disable_dos_gate: bool,
+                 group: str) -> dict:
+    """One table row: ``variant``'s battery reports, the verdicts derived
+    from them and whether those are the expected row."""
+    reports = [run_scenario(cfg) for cfg in
+               battery_configs(variant, seed, disable_dos_gate, group)]
+    verdicts = verdicts_from_trace(reports)
+    return {"reports": reports, "verdicts": verdicts,
+            "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value]}
+
+
+def _send_improved_row(sink: typing.BinaryIO, seed: int,
+                       disable_dos_gate: bool, group: str) -> typing.NoReturn:
+    """In a forked child: compute the improved row, write it to ``sink``
+    and exit.
+
+    Only builtins are pickled, each report as its ``to_dict()``: pickle
+    names a class by the module that ``sys.modules`` holds under its name,
+    and a caller that imported this package again since (as perfbench does
+    for each set-up) holds other class objects than that module's.  An
+    exception travels as its class's module and name, its args, its
+    attributes and its traceback.  The child exits 1 if it wrote nothing.
+    """
+    status = 1
+    try:
+        try:
+            row = _battery_row(Variant.IMPROVED, seed, disable_dos_gate, group)
+            message = ("row", [r.to_dict() for r in row["reports"]],
+                       row["verdicts"], row["matches_expected"])
+            data = pickle.dumps(message)
+        except Exception as exc:
+            kind = type(exc)
+            data = pickle.dumps(("raised", kind.__module__, kind.__qualname__,
+                                 exc.args, vars(exc), traceback.format_exc()))
+        sink.write(data)
+        sink.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _raise_from_child(module: str, qualname: str, args: tuple, state: dict,
+                      trace: str) -> typing.NoReturn:
+    """Raise the exception the child sent, as an instance of the class of
+    that name in this process: this package's errors as its own ``errors``
+    module defines them, anything else as ``sys.modules`` holds it."""
+    home = errors if module == errors.__name__ else sys.modules.get(module)
+    cls = getattr(home, qualname, None)
+    if not (isinstance(cls, type) and issubclass(cls, BaseException)):
+        raise RuntimeError(f"the improved row failed:\n{trace}")
+    exc = cls.__new__(cls, *args)
+    vars(exc).update(state)
+    raise exc from RuntimeError(f"raised in the improved row's child:\n{trace}")
+
+
 def run_matrix(seed: int, disable_dos_gate: bool = False,
                group: str = crypto.DESK_GROUP.name) -> dict:
-    """Run the full battery for both variants; the one-command reproduction."""
-    result: dict = {}
-    for variant in (Variant.BASELINE, Variant.IMPROVED):
-        reports = [run_scenario(cfg) for cfg in
-                   battery_configs(variant, seed, disable_dos_gate, group)]
-        verdicts = verdicts_from_trace(reports)
-        result[variant.value] = {
-            "reports": reports,
+    """Run the full battery for both variants; the one-command reproduction.
+
+    The two rows are computed at once: the improved row in a child forked
+    for this call, which sees this process's state as it is now, and the
+    baseline row here.  The child sends its row back over a pipe, and each
+    of its reports is rebuilt here as this module's ``ScenarioReport``; an
+    exception it raised is raised here with the same type and args.  The
+    child is reaped before this returns or raises.  Like any fork, this is
+    unsafe in a process that runs other threads.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            pipe.close()   # so that a write finds no reader once ours closes
+            _send_improved_row(sink, seed, disable_dos_gate, group)
+        sink.close()
+        try:
+            baseline = _battery_row(Variant.BASELINE, seed, disable_dos_gate,
+                                    group)
+            data = pipe.read()
+        finally:
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"the improved row's child sent nothing "
+                           f"(wait status {status})")
+    kind, *rest = pickle.loads(data)
+    if kind == "raised":
+        _raise_from_child(*rest)
+    dicts, verdicts, matches = rest
+    return {
+        Variant.BASELINE.value: baseline,
+        Variant.IMPROVED.value: {
+            "reports": [ScenarioReport(**d) for d in dicts],
             "verdicts": verdicts,
-            "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value],
-        }
-    return result
+            "matches_expected": matches,
+        },
+    }

@@ -19,6 +19,10 @@ attempts over HASH digests, ``decrypt_failures`` counts failed AEAD opens
 and ``messages_rejected_pre_dh`` counts message-1 rejects that cost no DH
 work.  Every transition appends an event so a harness can replay the run.
 
+Phase 1 fixes the header's Message ID at 0 (RFC 2408 section 3.1, RFC 2409
+section 5): each step that takes a message turns any other value away as
+``malformed`` before any AEAD open or DH work.
+
 One deliberate strengthening over the classic HASH_R formula: the SA bytes
 covered by HASH_R are the ones carried in message 2 (the responder's echo),
 not the initiator's stored offer.  For honest peers the two are identical;
@@ -380,6 +384,9 @@ class HandshakeSession:
             self._fail(op, "out-of-order")
             return None
         self._require_token(op)
+        if msg.message_id:
+            self._reject(op, "malformed", pre_dh=True)
+            return None
         self.cky_i = msg.initiator_cookie
 
         if self.disable_dos_gate and self.variant is _IMPROVED:
@@ -427,6 +434,9 @@ class HandshakeSession:
         op = "initiator_on_msg2"
         if self.role is not _INITIATOR or self.state is not _SENT1:
             self._fail(op, "out-of-order")
+            return None
+        if msg.message_id:
+            self._fail(op, "malformed")
             return None
         self.cky_r = msg.responder_cookie
 
@@ -495,7 +505,7 @@ class HandshakeSession:
 
         cert_body = msg.first(CertBody)
         sig_body = msg.first(SigBody)
-        if cert_body is None or sig_body is None:
+        if msg.message_id or cert_body is None or sig_body is None:
             self._fail(op, "malformed")
             return
         auth = self._open_peer_auth(cert_body, sig_body, self._id_i)

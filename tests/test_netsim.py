@@ -4,14 +4,17 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import requires_loopback_udp
-from ikedev import codec, crypto, netsim, protocol, usbkey
+from ikedev import cli, codec, crypto, netsim, protocol, usbkey
 from ikedev.errors import ConfigError, IncompleteTrace, SelectorMiss
 from ikedev.netsim import (
     EXPECTED_VERDICTS,
@@ -1088,3 +1091,110 @@ def test_run_matrix_gate_disabled_breaks_the_improved_row():
             == netsim.NOT_SUPPORTED)
     # the baseline row is unaffected by the knob
     assert result["baseline"]["matches_expected"] is True
+
+
+def _serial_matrix(seed: int, disable_dos_gate: bool = False,
+                   group: str = crypto.DESK_GROUP.name) -> dict:
+    """What ``run_matrix`` returns, computed one row after the other in
+    this process."""
+    result = {}
+    for variant in (Variant.BASELINE, Variant.IMPROVED):
+        reports = [run_scenario(cfg) for cfg in
+                   battery_configs(variant, seed, disable_dos_gate, group)]
+        verdicts = verdicts_from_trace(reports)
+        result[variant.value] = {
+            "reports": reports, "verdicts": verdicts,
+            "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value]}
+    return result
+
+
+def _rows(result: dict) -> str:
+    """``result``'s rows as text that shows every value, type and dict key
+    order."""
+    return repr({variant: ([(type(r), r.to_dict()) for r in row["reports"]],
+                           row["verdicts"], row["matches_expected"])
+                 for variant, row in result.items()})
+
+
+@pytest.mark.parametrize("seed, disable_dos_gate, group", [
+    *((seed, gate, "desk64") for seed in range(4) for gate in (False, True)),
+    (1, False, "modp2048")])
+def test_the_forked_matrix_prints_what_the_serial_one_prints(
+        monkeypatch, capsys, seed, disable_dos_gate, group):
+    results = {}
+
+    def structured(run_rows) -> tuple[int, str]:
+        def recorded(*args, **kwargs):
+            results[run_rows] = run_rows(*args, **kwargs)
+            return results[run_rows]
+        monkeypatch.setattr(cli, "run_matrix", recorded)
+        code = cli.main(["matrix", "--format", "structured", "--seed", str(seed),
+                         "--group", group]
+                        + ["--disable-dos-gate"] * disable_dos_gate)
+        return code, capsys.readouterr().out
+
+    assert structured(run_matrix) == structured(_serial_matrix)
+    forked, serial = results[run_matrix], results[_serial_matrix]
+    assert _rows(forked) == _rows(serial)
+    for variant, row in serial.items():
+        assert ([r.to_json() for r in forked[variant]["reports"]]
+                == [r.to_json() for r in row["reports"]])
+
+
+def test_run_matrix_of_a_module_imported_again_since(tmp_path):
+    # perfbench imports ikedev afresh for each set-up, so an earlier set-up's
+    # modules are no longer the ones that sys.modules names
+    script = tmp_path / "reimport.py"
+    script.write_text(
+        "import sys\n"
+        "import ikedev.netsim as first\n"
+        "for name in [n for n in sys.modules\n"
+        "             if n == 'ikedev' or n.startswith('ikedev.')]:\n"
+        "    del sys.modules[name]\n"
+        "import ikedev.netsim as fresh\n"
+        "assert fresh is not first\n"
+        "def rows(netsim):\n"
+        "    result = netsim.run_matrix(1)\n"
+        "    for row in result.values():\n"
+        "        assert all(type(r) is netsim.ScenarioReport\n"
+        "                   for r in row['reports'])\n"
+        "    return repr({v: ([r.to_dict() for r in row['reports']],\n"
+        "                     row['verdicts'], row['matches_expected'])\n"
+        "                 for v, row in result.items()})\n"
+        "print(rows(first) == rows(fresh))\n")
+    src = Path(netsim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("failing", [Variant.BASELINE, Variant.IMPROVED])
+def test_a_row_that_raises_raises_here_and_leaves_no_child(monkeypatch,
+                                                            failing):
+    run_matrix(1)
+    assert _no_child_left()
+    battery = netsim.battery_configs
+
+    def configs(variant, *args, **kwargs):
+        if variant is not failing:
+            return battery(variant, *args, **kwargs)
+        # a replay of a datagram the run never captures
+        return [scenario(variant=variant, adversary=[Replay(message=99)])]
+
+    monkeypatch.setattr(netsim, "battery_configs", configs)
+    with pytest.raises(ConfigError,
+                       match="replay index 99 out of range") as raised:
+        run_matrix(1)
+    assert _no_child_left()
+    if failing is Variant.IMPROVED:   # the child's traceback is the cause
+        assert "Traceback" in str(raised.value.__cause__)

@@ -376,6 +376,38 @@ def test_forged_msg1_costs_one_aead_open_before_the_gate(
         assert rsp.counters.messages_rejected_pre_dh == 1
 
 
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+@pytest.mark.parametrize("message", [0, 1, 2])
+@pytest.mark.parametrize("disable_dos_gate", [False, True])
+def test_a_nonzero_message_id_is_turned_away_before_any_aead_or_dh(
+        fleet, monkeypatch, variant, message, disable_dos_gate):
+    # phase 1 fixes the Message ID at 0 (RFC 2408 section 3.1)
+    calls: list[str] = []
+    for name in ("open_sealed", "dh_keypair", "dh_shared", "verify"):
+        _count_calls(monkeypatch, calls, crypto, name)
+
+    def with_message_id(index: int, wire: bytes) -> bytes:
+        if index != message:
+            return wire
+        msg = codec.decode_message(wire)
+        msg.message_id = 0xDEADBEEF
+        calls.clear()   # count only what the step that takes it does
+        return codec.encode_message(msg)
+
+    ini, rsp = fleet.pair(variant, disable_dos_gate=disable_dos_gate)
+    wires = drive_handshake(ini, rsp, mutate=with_message_id)
+    assert len(wires) == message + 1
+    assert calls == []
+    receiver = ini if message == 1 else rsp
+    assert receiver.events[-1].failure == "malformed"
+    assert rsp.state is not SessionState.ESTABLISHED
+    if message == 0:
+        assert rsp.counters.dh_ops == 0
+        assert rsp.counters.messages_rejected_pre_dh == 1
+    else:
+        assert receiver.state is SessionState.FAILED
+
+
 def test_replayed_msg1_is_turned_away_before_its_chain_opens(fleet, monkeypatch):
     # the replay guard is asked before the chain open, so a replayed genuine
     # message 1 costs the gate's key1 open and no chain key or chain open
