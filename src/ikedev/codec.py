@@ -304,9 +304,8 @@ def link_payloads(bodies: list[Body]) -> list[Body]:
 def build_message(initiator_cookie: bytes, responder_cookie: bytes,
                   bodies: list[Body], *, flags: int = 0,
                   encrypted_chain: bytes | None = None) -> IsakmpMessage:
-    """A phase-1 message (Message ID 0); the encoder derives links and length."""
-    if encrypted_chain is not None and not flags & FLAG_ENCRYPTION:
-        raise ChainMismatch("encrypted chain present without encryption flag")
+    """A phase-1 message (Message ID 0); the encoder derives links and length
+    and turns away a chain without the encryption flag."""
     return IsakmpMessage(initiator_cookie, responder_cookie,
                          EXCHANGE_AGGRESSIVE, flags, 0, list(bodies),
                          encrypted_chain)

@@ -32,20 +32,16 @@ Verdict rules (fixed, mechanical — never hand-set):
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import os
-import pickle
 import socket
-import sys
-import traceback
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 
-from . import codec, crypto, errors
+from . import codec, crypto
 from .codec import DevBody, KeBody, NonceBody
 from .errors import (
     AuthFailure,
@@ -496,30 +492,19 @@ def _folded(rows: list[tuple], fields: tuple[str, ...],
 _FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
 
 
-@functools.lru_cache(maxsize=4)
-def _forged_chain(group: crypto.DhGroup, source: str) -> tuple[bytes, bytes, bytes]:
-    """The forged chain's plaintext around the KE value and nonce each packet
-    draws: cut at placeholders of their sizes, as its framing holds sizes."""
-    ke, nonce = b"\xff" * group.value_size, b"\xfe" * 16
-    bodies = [_FORGED_SA, KeBody(ke), NonceBody(nonce), id_payload(source)[0]]
-    head, rest = codec.serialize_payload_chain(bodies).split(ke, 1)
-    return (head, *rest.split(nonce, 1))
-
-
 def _forged_msg1(variant: Variant, rng, group: crypto.DhGroup,
                  source: str) -> bytes:
     """Well-formed message 1 that cost the attacker no key1 and no modexp;
     the improved one seals under two keys that are never used again."""
-    ke, nonce = rng.randbytes(group.value_size), rng.randbytes(16)
+    bodies = [_FORGED_SA, KeBody(rng.randbytes(group.value_size)),
+              NonceBody(rng.randbytes(16)), id_payload(source)[0]]
     if variant is Variant.BASELINE:
         flags, blob = 0, None
-        bodies = [_FORGED_SA, KeBody(ke), NonceBody(nonce), id_payload(source)[0]]
     else:
         sealed = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
                              rng.randbytes(crypto.SERIAL_LEN))
-        head, mid, tail = _forged_chain(group, source)
         blob = crypto.seal(crypto.AES256GCM, rng.randbytes(32), rng,
-                           head + ke + mid + nonce + tail)
+                           codec.serialize_payload_chain(bodies))
         flags, bodies = codec.FLAG_ENCRYPTION, [DevBody(sealed)]
     return codec.encode_message(codec.IsakmpMessage(
         rng.randbytes(8), bytes(8), codec.EXCHANGE_AGGRESSIVE, flags, 0, bodies, blob))
@@ -846,46 +831,20 @@ def _battery_row(variant: Variant, seed: int, disable_dos_gate: bool,
 
 def _send_improved_row(sink: typing.BinaryIO, seed: int,
                        disable_dos_gate: bool, group: str) -> typing.NoReturn:
-    """In a forked child: compute the improved row, write it to ``sink``
-    and exit.
-
-    Only builtins are pickled, each report as its ``to_dict()``: pickle
-    names a class by the module that ``sys.modules`` holds under its name,
-    and a caller that imported this package again since (as perfbench does
-    for each set-up) holds other class objects than that module's.  An
-    exception travels as its class's module and name, its args, its
-    attributes and its traceback.  The child exits 1 if it wrote nothing.
-    """
+    """In a forked child: compute the improved row, write it to ``sink`` as
+    JSON, each report as its ``to_dict()``, and exit 0; exit 1 on any
+    failure.  JSON holds only builtins, so the caller rebuilds each report
+    as its own module's class, even if it imported this package again since
+    (as perfbench does for each set-up)."""
     status = 1
     try:
-        try:
-            row = _battery_row(Variant.IMPROVED, seed, disable_dos_gate, group)
-            message = ("row", [r.to_dict() for r in row["reports"]],
-                       row["verdicts"], row["matches_expected"])
-            data = pickle.dumps(message)
-        except Exception as exc:
-            kind = type(exc)
-            data = pickle.dumps(("raised", kind.__module__, kind.__qualname__,
-                                 exc.args, vars(exc), traceback.format_exc()))
-        sink.write(data)
+        row = _battery_row(Variant.IMPROVED, seed, disable_dos_gate, group)
+        row["reports"] = [r.to_dict() for r in row["reports"]]
+        sink.write(json.dumps(row).encode())
         sink.close()
         status = 0
     finally:
         os._exit(status)
-
-
-def _raise_from_child(module: str, qualname: str, args: tuple, state: dict,
-                      trace: str) -> typing.NoReturn:
-    """Raise the exception the child sent, as an instance of the class of
-    that name in this process: this package's errors as its own ``errors``
-    module defines them, anything else as ``sys.modules`` holds it."""
-    home = errors if module == errors.__name__ else sys.modules.get(module)
-    cls = getattr(home, qualname, None)
-    if not (isinstance(cls, type) and issubclass(cls, BaseException)):
-        raise RuntimeError(f"the improved row failed:\n{trace}")
-    exc = cls.__new__(cls, *args)
-    vars(exc).update(state)
-    raise exc from RuntimeError(f"raised in the improved row's child:\n{trace}")
 
 
 def run_matrix(seed: int, disable_dos_gate: bool = False,
@@ -894,11 +853,11 @@ def run_matrix(seed: int, disable_dos_gate: bool = False,
 
     The two rows are computed at once: the improved row in a child forked
     for this call, which sees this process's state as it is now, and the
-    baseline row here.  The child sends its row back over a pipe, and each
-    of its reports is rebuilt here as this module's ``ScenarioReport``; an
-    exception it raised is raised here with the same type and args.  The
-    child is reaped before this returns or raises.  Like any fork, this is
-    unsafe in a process that runs other threads.
+    baseline row here.  The child sends its row back over a pipe; if it
+    does not exit 0, the improved row is computed here instead, so that
+    whatever failed there raises here.  The child is reaped before this
+    returns or raises.  Like any fork, this is unsafe in a process that
+    runs other threads.
     """
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
@@ -914,18 +873,11 @@ def run_matrix(seed: int, disable_dos_gate: bool = False,
         finally:
             pipe.close()
             _, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(f"the improved row's child sent nothing "
-                           f"(wait status {status})")
-    kind, *rest = pickle.loads(data)
-    if kind == "raised":
-        _raise_from_child(*rest)
-    dicts, verdicts, matches = rest
-    return {
-        Variant.BASELINE.value: baseline,
-        Variant.IMPROVED.value: {
-            "reports": [ScenarioReport(**d) for d in dicts],
-            "verdicts": verdicts,
-            "matches_expected": matches,
-        },
-    }
+    if status == 0:
+        improved = json.loads(data)
+        improved["reports"] = [ScenarioReport(**d)
+                               for d in improved["reports"]]
+    else:
+        improved = _battery_row(Variant.IMPROVED, seed, disable_dos_gate,
+                                group)
+    return {Variant.BASELINE.value: baseline, Variant.IMPROVED.value: improved}

@@ -29,8 +29,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from . import crypto
 from .errors import BadLength, DeviceAbsent, PermissionDenied
 
-SERIAL_LEN = crypto.SERIAL_LEN
-
 VIRTUAL_CD_IMAGE = b"IKEDEV-VCD\x00utility image placeholder"
 
 
@@ -62,7 +60,7 @@ ACCESS_POLICY = {
 # ---------------------------------------------------------------------------
 
 CERT_VERSION = 1
-NO_SERIAL_BINDING = b"\x00" * SERIAL_LEN
+NO_SERIAL_BINDING = b"\x00" * crypto.SERIAL_LEN
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,12 @@ def decode_certificate(data: bytes) -> Certificate:
     version, subject_len = struct.unpack_from("!BB", data)
     if version != CERT_VERSION:
         raise BadLength(f"unsupported certificate version {version}", 0)
-    end = 2 + subject_len + SERIAL_LEN + crypto.PUBLIC_KEY_LEN
+    end = 2 + subject_len + crypto.SERIAL_LEN + crypto.PUBLIC_KEY_LEN
     if len(data) != end + crypto.SIGNATURE_LEN:
         raise BadLength("certificate length mismatch", len(data))
     subject = data[2:2 + subject_len].decode(errors="replace")
-    serial = data[2 + subject_len:2 + subject_len + SERIAL_LEN]
-    public_key = data[2 + subject_len + SERIAL_LEN:end]
+    serial = data[2 + subject_len:2 + subject_len + crypto.SERIAL_LEN]
+    public_key = data[2 + subject_len + crypto.SERIAL_LEN:end]
     return Certificate(subject, public_key, serial, data)
 
 

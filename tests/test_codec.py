@@ -297,9 +297,10 @@ def test_payload_byte_ranges_cover_bodies_exactly():
 
 
 def test_build_message_rejects_blob_without_flag():
+    msg = codec.build_message(b"A" * 8, b"B" * 8, [SaBody(b"x")],
+                              encrypted_chain=b"\x00" * 33)
     with pytest.raises(ChainMismatch):
-        codec.build_message(b"A" * 8, b"B" * 8, [SaBody(b"x")],
-                            encrypted_chain=b"\x00" * 33)
+        codec.encode_message(msg)
 
 
 # --- totality fuzz --------------------------------------------------------------

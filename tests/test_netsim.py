@@ -1154,7 +1154,14 @@ def test_run_matrix_of_a_module_imported_again_since(tmp_path):
         "import ikedev.netsim as fresh\n"
         "assert fresh is not first\n"
         "def rows(netsim):\n"
+        "    computed, battery_row = [], netsim._battery_row\n"
+        "    def recorded(variant, *args):\n"
+        "        computed.append(variant.value)\n"
+        "        return battery_row(variant, *args)\n"
+        "    netsim._battery_row = recorded\n"
         "    result = netsim.run_matrix(1)\n"
+        "    # the child's row arrived: this process computed no other\n"
+        "    assert computed == ['baseline'], computed\n"
         "    for row in result.values():\n"
         "        assert all(type(r) is netsim.ScenarioReport\n"
         "                   for r in row['reports'])\n"
@@ -1196,5 +1203,26 @@ def test_a_row_that_raises_raises_here_and_leaves_no_child(monkeypatch,
                        match="replay index 99 out of range") as raised:
         run_matrix(1)
     assert _no_child_left()
-    if failing is Variant.IMPROVED:   # the child's traceback is the cause
-        assert "Traceback" in str(raised.value.__cause__)
+    # raised by the row computed here, whichever row failed
+    assert "_battery_row" in [entry.name for entry in raised.traceback]
+
+
+@pytest.mark.parametrize("child_dies, computed_here", [
+    (False, [Variant.BASELINE]),
+    (True, [Variant.BASELINE, Variant.IMPROVED])])
+def test_the_caller_computes_the_improved_row_only_if_the_child_fails(
+        monkeypatch, child_dies, computed_here):
+    caller, computed = os.getpid(), []
+    battery_row = netsim._battery_row
+
+    def recorded(variant, *args):
+        if os.getpid() == caller:
+            computed.append(variant)
+        elif child_dies:
+            os._exit(3)
+        return battery_row(variant, *args)
+
+    monkeypatch.setattr(netsim, "_battery_row", recorded)
+    assert _rows(run_matrix(1)) == _rows(_serial_matrix(1))
+    assert computed == computed_here
+    assert _no_child_left()

@@ -157,7 +157,7 @@ def test_a_device_seals_only_its_own_serial(token, peer):
     blob = usbkey.device_session_encrypt(token, b"chain bytes")
     assert usbkey.device_session_decrypt(peer, token.serial, blob) \
         == b"chain bytes"
-    for other in (peer.serial, b"ZZ99999", b"\x00" * usbkey.SERIAL_LEN):
+    for other in (peer.serial, b"ZZ99999", b"\x00" * crypto.SERIAL_LEN):
         with pytest.raises(AuthFailure):
             usbkey.device_session_decrypt(peer, other, blob)
 
