@@ -489,6 +489,12 @@ def _folded(rows: list[tuple], fields: tuple[str, ...],
     return entries
 
 
+def _unfolded(entries: list[dict], fields: tuple[str, ...]) -> list[tuple]:
+    """The rows that ``_folded`` folded into ``entries``."""
+    return [tuple(entry[f] for f in fields)
+            for entry in entries for _ in range(entry["count"])]
+
+
 _FORGED_SA = codec.SaBody(codec.DEFAULT_SA_PROPOSAL)
 
 
@@ -575,8 +581,12 @@ def run_scenario(config: ScenarioConfig, udp: bool = False) -> ScenarioReport:
         return _run(config, sockets)
 
 
-def _run(config: ScenarioConfig,
-         sockets: dict[str, socket.socket] | None) -> ScenarioReport:
+def _run(config: ScenarioConfig, sockets: dict[str, socket.socket] | None,
+         carried: slice = slice(None),
+         rest: typing.Callable[[], dict] | None = None) -> ScenarioReport:
+    """``run_scenario``'s run, sending only the flood packets in ``carried``;
+    the rows and counters of ``rest()``, a later run's ``to_dict()``, join
+    this run's before they are folded."""
     seed = config.seed
     group = crypto.GROUPS[config.group]
     deployment = _deployment(seed)
@@ -683,13 +693,17 @@ def _run(config: ScenarioConfig,
                     trace_rows.append((session.name, event.op, event.failure))
         return receiver
 
-    # The script: floods, then the honest handshake, then replays.
-    floods = [a for a in config.adversary if isinstance(a, Flood)]
+    # The script: floods, then the honest handshake, then replays.  A flood
+    # packet before ``carried`` is forged from the stream but not sent; each
+    # one sent opens the responder's session of its own ordinal.
+    packets = [action for action in config.adversary
+               if isinstance(action, Flood) for _ in range(action.count)]
+    responder.opened = first = carried.start or 0
     attacker_rng = crypto.derive_rng(seed, "adversary")
-    for action in floods:
-        for _ in range(action.count):
-            wire = _forged_msg1(config.variant, attacker_rng, group,
-                                action.forge_source)
+    for ordinal, action in enumerate(packets[:carried.stop]):
+        wire = _forged_msg1(config.variant, attacker_rng, group,
+                            action.forge_source)
+        if ordinal >= first:
             exchange(wire, action.forge_source, responder.name, "flood")
 
     established = skeyid_match = None
@@ -718,13 +732,22 @@ def _run(config: ScenarioConfig,
         wire, _, dst, kind = transcript[action.message]
         exchange(wire, "adversary", dst, kind, label="replay")
 
+    if rest is not None:
+        later = rest()
+        log_rows += _unfolded(later["message_log"], _LOG_FIELDS)
+        trace_rows += _unfolded(later["failure_trace"], _TRACE_FIELDS)
+        for name, totals in later["principal_counters"].items():
+            counters = principals[name].counters
+            for counter, count in totals.items():
+                setattr(counters, counter, getattr(counters, counter) + count)
+
     report = ScenarioReport(
         scenario=config.name,
         variant=config.variant.value,
         seed=seed,
         established=established,
         skeyid_match=skeyid_match,
-        flood_sent=sum(action.count for action in floods),
+        flood_sent=len(packets),
         principal_counters={name: p.counters.to_dict()
                             for name, p in sorted(principals.items())},
         observer_findings=[{"knowledge": obs.knowledge.value, **finding}
@@ -819,65 +842,78 @@ def battery_configs(variant: Variant, seed: int, disable_dos_gate: bool = False,
 
 
 def _battery_row(variant: Variant, seed: int, disable_dos_gate: bool,
-                 group: str) -> dict:
-    """One table row: ``variant``'s battery reports, the verdicts derived
-    from them and whether those are the expected row."""
-    reports = [run_scenario(cfg) for cfg in
+                 group: str, run: typing.Callable = run_scenario) -> dict:
+    """One table row: ``variant``'s battery reports, each scenario's from
+    ``run``, the verdicts derived from them and whether those are the
+    expected row."""
+    reports = [run(cfg) for cfg in
                battery_configs(variant, seed, disable_dos_gate, group)]
     verdicts = verdicts_from_trace(reports)
     return {"reports": reports, "verdicts": verdicts,
             "matches_expected": verdicts == EXPECTED_VERDICTS[variant.value]}
 
 
-def _send_improved_row(sink: typing.BinaryIO, seed: int,
-                       disable_dos_gate: bool, group: str) -> typing.NoReturn:
-    """In a forked child: compute the improved row, write it to ``sink`` as
-    JSON, each report as its ``to_dict()``, and exit 0; exit 1 on any
-    failure.  JSON holds only builtins, so the caller rebuilds each report
-    as its own module's class, even if it imported this package again since
-    (as perfbench does for each set-up)."""
-    status = 1
-    try:
-        row = _battery_row(Variant.IMPROVED, seed, disable_dos_gate, group)
-        row["reports"] = [r.to_dict() for r in row["reports"]]
-        sink.write(json.dumps(row).encode())
-        sink.close()
-        status = 0
-    finally:
-        os._exit(status)
+# The share of the baseline flood, its last packets, that ``run_matrix``'s
+# child sends: the best of a sweep of 1/4 to 1/2 on two vCPUs.
+_CHILD_SHARE = 3 / 10
 
 
 def run_matrix(seed: int, disable_dos_gate: bool = False,
                group: str = crypto.DESK_GROUP.name) -> dict:
     """Run the full battery for both variants; the one-command reproduction.
 
-    The two rows are computed at once: the improved row in a child forked
-    for this call, which sees this process's state as it is now, and the
-    baseline row here.  The child sends its row back over a pipe; if it
-    does not exit 0, the improved row is computed here instead, so that
-    whatever failed there raises here.  The child is reaped before this
-    returns or raises.  Like any fork, this is unsafe in a process that
-    runs other threads.
+    A child forked for this call, which sees this process's state as it is
+    now, computes the improved row and the last ``_CHILD_SHARE`` of the
+    baseline flood, while this process computes the rest; the battery's
+    flood scenario holds its flood alone, so its two parts join into the
+    report of one run.  The child sends its part over a pipe as JSON, so
+    each report is rebuilt as this module's class even if this package was
+    imported again since (as perfbench does for each set-up).  If the child
+    does not exit 0, its part is computed here, so that whatever failed
+    there raises here.  The child is reaped before this returns or raises.
+    Like any fork, this is unsafe in a process that runs other threads.
     """
+    flood = next(cfg for cfg in battery_configs(
+        Variant.BASELINE, seed, disable_dos_gate, group) if cfg.name == "flood")
+    split = round(FLOOD_COUNT * (1 - _CHILD_SHARE))
+
+    def child_part() -> list:
+        """The improved row and the flood's tail, each report as a dict."""
+        row = _battery_row(Variant.IMPROVED, seed, disable_dos_gate, group)
+        row["reports"] = [r.to_dict() for r in row["reports"]]
+        return [row, _run(flood, None, slice(split, None)).to_dict()]
+
+    part, status = [], None
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
         pid = os.fork()
         if pid == 0:
             pipe.close()   # so that a write finds no reader once ours closes
-            _send_improved_row(sink, seed, disable_dos_gate, group)
+            try:
+                sink.write(json.dumps(child_part()).encode())
+                sink.close()
+                os._exit(0)
+            finally:   # reached only if sending failed
+                os._exit(1)
         sink.close()
-        try:
-            baseline = _battery_row(Variant.BASELINE, seed, disable_dos_gate,
-                                    group)
+
+        def flood_tail() -> dict:
+            """The child's flood part, read once this process's is sent."""
+            nonlocal status
             data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            part.extend(json.loads(data) if status == 0 else child_part())
+            return part[1]
+
+        try:
+            baseline = _battery_row(
+                Variant.BASELINE, seed, disable_dos_gate, group,
+                lambda cfg: _run(cfg, None, slice(split), flood_tail)
+                if cfg == flood else run_scenario(cfg))
         finally:
             pipe.close()
-            _, status = os.waitpid(pid, 0)
-    if status == 0:
-        improved = json.loads(data)
-        improved["reports"] = [ScenarioReport(**d)
-                               for d in improved["reports"]]
-    else:
-        improved = _battery_row(Variant.IMPROVED, seed, disable_dos_gate,
-                                group)
+            if status is None:
+                os.waitpid(pid, 0)
+    improved = part[0]
+    improved["reports"] = [ScenarioReport(**d) for d in improved["reports"]]
     return {Variant.BASELINE.value: baseline, Variant.IMPROVED.value: improved}

@@ -1141,6 +1141,13 @@ def test_the_forked_matrix_prints_what_the_serial_one_prints(
                 == [r.to_json() for r in row["reports"]])
 
 
+# What the caller of run_matrix opens, as (variant, principal, ordinal), when
+# its child carries the improved row and baseline flood packets 700-999:
+# each other baseline scenario's sessions, and flood sessions 0-699.
+_CALLER_PART = sorted([("baseline", name, 0) for name in ("alice", "bob")] * 3
+                      + [("baseline", "bob", n) for n in range(700)])
+
+
 def test_run_matrix_of_a_module_imported_again_since(tmp_path):
     # perfbench imports ikedev afresh for each set-up, so an earlier set-up's
     # modules are no longer the ones that sys.modules names
@@ -1154,14 +1161,14 @@ def test_run_matrix_of_a_module_imported_again_since(tmp_path):
         "import ikedev.netsim as fresh\n"
         "assert fresh is not first\n"
         "def rows(netsim):\n"
-        "    computed, battery_row = [], netsim._battery_row\n"
-        "    def recorded(variant, *args):\n"
-        "        computed.append(variant.value)\n"
-        "        return battery_row(variant, *args)\n"
-        "    netsim._battery_row = recorded\n"
+        "    opened, new_session = [], netsim.Principal.new_session\n"
+        "    def recorded(self, variant, *args):\n"
+        "        opened.append((variant.value, self.name, self.opened))\n"
+        "        return new_session(self, variant, *args)\n"
+        "    netsim.Principal.new_session = recorded\n"
         "    result = netsim.run_matrix(1)\n"
-        "    # the child's row arrived: this process computed no other\n"
-        "    assert computed == ['baseline'], computed\n"
+        "    # the child's part arrived: this process opened only its own\n"
+        f"    assert sorted(opened) == {_CALLER_PART!r}, opened\n"
         "    for row in result.values():\n"
         "        assert all(type(r) is netsim.ScenarioReport\n"
         "                   for r in row['reports'])\n"
@@ -1193,36 +1200,107 @@ def test_a_row_that_raises_raises_here_and_leaves_no_child(monkeypatch,
     battery = netsim.battery_configs
 
     def configs(variant, *args, **kwargs):
+        honest, *others = battery(variant, *args, **kwargs)
         if variant is not failing:
-            return battery(variant, *args, **kwargs)
+            return [honest, *others]
         # a replay of a datagram the run never captures
-        return [scenario(variant=variant, adversary=[Replay(message=99)])]
+        return [dataclasses.replace(honest, adversary=(Replay(message=99),)),
+                *others]
 
     monkeypatch.setattr(netsim, "battery_configs", configs)
     with pytest.raises(ConfigError,
                        match="replay index 99 out of range") as raised:
         run_matrix(1)
     assert _no_child_left()
-    # raised by the row computed here, whichever row failed
-    assert "_battery_row" in [entry.name for entry in raised.traceback]
+    # raised by the row computed here, whichever row failed; the improved
+    # one is computed here only once the child has failed
+    names = [entry.name for entry in raised.traceback]
+    assert "_battery_row" in names
+    assert ("flood_tail" in names) is (failing is Variant.IMPROVED)
+
+
+def test_a_flood_part_that_raises_raises_here_and_leaves_no_child(
+        monkeypatch):
+    new_session = netsim.Principal.new_session
+
+    def failing(self, variant, *args):
+        if variant is Variant.BASELINE and self.opened == 850:
+            raise RuntimeError("flood session 850 failed")
+        return new_session(self, variant, *args)
+
+    # session 850 is in the child's part, so the child fails, and the
+    # caller raises as it computes that part itself
+    monkeypatch.setattr(netsim.Principal, "new_session", failing)
+    with pytest.raises(RuntimeError, match="flood session 850") as raised:
+        run_matrix(1)
+    assert _no_child_left()
+    names = [entry.name for entry in raised.traceback]
+    assert "flood_tail" in names and "child_part" in names
 
 
 @pytest.mark.parametrize("child_dies, computed_here", [
     (False, [Variant.BASELINE]),
-    (True, [Variant.BASELINE, Variant.IMPROVED])])
+    (True, [Variant.BASELINE, Variant.IMPROVED]),
+    ("in its flood part", [Variant.BASELINE, Variant.IMPROVED])])
 def test_the_caller_computes_the_improved_row_only_if_the_child_fails(
         monkeypatch, child_dies, computed_here):
-    caller, computed = os.getpid(), []
-    battery_row = netsim._battery_row
+    caller, opened = os.getpid(), []
+    new_session = netsim.Principal.new_session
 
-    def recorded(variant, *args):
+    def recorded(self, variant, *args):
         if os.getpid() == caller:
-            computed.append(variant)
-        elif child_dies:
+            opened.append((variant.value, self.name, self.opened))
+        elif child_dies is True or (child_dies and self.opened == 850
+                                    and variant is Variant.BASELINE):
             os._exit(3)
-        return battery_row(variant, *args)
+        return new_session(self, variant, *args)
 
-    monkeypatch.setattr(netsim, "_battery_row", recorded)
-    assert _rows(run_matrix(1)) == _rows(_serial_matrix(1))
-    assert computed == computed_here
+    monkeypatch.setattr(netsim.Principal, "new_session", recorded)
+    forked, here = _rows(run_matrix(1)), sorted(opened)
+    opened.clear()
+    assert forked == _rows(_serial_matrix(1))
+    assert sorted({variant for variant, _, _ in here}) == [
+        variant.value for variant in computed_here]
+    # after a child that died, the caller opens what a serial run opens
+    assert here == (sorted(opened) if child_dies else _CALLER_PART)
     assert _no_child_left()
+
+
+def test_the_flood_report_joins_the_childs_packets_after_the_callers(
+        monkeypatch):
+    # Packets on both sides of the split, and at its edges, fail to decode,
+    # so the joined log and trace show which packets each side carried.
+    seam, forge, forged = {1, 699, 700, 701, 998}, netsim._forged_msg1, {}
+
+    def truncated(variant, rng, *args):
+        index = forged[rng] = forged.get(rng, -1) + 1
+        wire = forge(variant, rng, *args)
+        cut = variant is Variant.BASELINE and index in seam
+        return wire[:-1] if cut else wire
+
+    monkeypatch.setattr(netsim, "_forged_msg1", truncated)
+    flood = next(cfg for cfg in battery_configs(Variant.BASELINE, seed=1)
+                 if cfg.name == "flood")
+    joined = next(report for report in run_matrix(1)["baseline"]["reports"]
+                  if report.scenario == "flood")
+    assert joined.to_json() == run_scenario(flood).to_json()
+    assert [(entry["index"], entry["count"]) for entry in joined.message_log
+            if not entry["payloads"]] == [(1, 1), (699, 3), (998, 1)]
+    assert joined.failure_trace == [{"principal": "bob", "op": "decode",
+                                     "failure": "codec:BadLength", "count": 5}]
+    assert joined.principal_counters["bob"]["dh_ops"] == FLOOD_COUNT - 5
+
+
+@pytest.mark.parametrize("group", ["desk64", "modp2048"])
+@pytest.mark.parametrize("disable_dos_gate", [False, True])
+@pytest.mark.parametrize("variant", [Variant.BASELINE, Variant.IMPROVED])
+def test_the_battery_flood_scenario_holds_its_flood_alone(
+        variant, disable_dos_gate, group):
+    """``run_matrix`` splits the baseline flood scenario by packet between
+    its two processes and joins the two reports, which gives the report of
+    one run only if the scenario holds its flood alone: no handshake,
+    tamper, observer or replay."""
+    flood, = [cfg for cfg in battery_configs(variant, 1, disable_dos_gate, group)
+              if cfg.name == "flood"]
+    assert flood.adversary == (Flood(),)
+    assert flood.handshake is False
